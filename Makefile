@@ -12,10 +12,8 @@ GO ?= go
 BENCH_CHECK_THRESHOLD ?= 0.25
 BENCH_CHECK_MIN_NS ?= 1000
 # Parallel-scaling gate: required workers1/workers4 speedup (self-skips on
-# runners with fewer than 4 CPUs) and required allocs+bytes reduction of the
-# reused-manager arena configuration over fresh managers. 0 disables either.
+# runners with fewer than 4 CPUs). 0 disables it.
 BENCH_CHECK_MIN_SCALING ?= 2.5
-BENCH_CHECK_MIN_ALLOC_FACTOR ?= 5
 # Cluster routing gate: relative calibration-adjusted p99 regression of the
 # hash-routed sweep that fails bench-check (the hit-rate gate — hash must
 # beat round-robin — has no knob; it is the point of the router).
@@ -67,20 +65,19 @@ bench-cluster:
 ## bench-check: the perf-regression gate — fail when a Gate/Batch/Session
 ## benchmark's ns/op, allocs/op, or B/op regressed more than
 ## BENCH_CHECK_THRESHOLD against the committed bench_baseline.json, when
-## BatchRun stops scaling (workers4 vs workers1, 4+ CPU runners only) or the
-## arena configuration stops cutting allocations, when the ordering
-## benchmark stops showing scored < identity peak nodes, when the replace
-## pass stops dominating delete on the pairs frontier, when hash-affinity
-## routing stops beating round-robin on cluster cache hit rate, or when the
-## hash-routed p99 regresses more than BENCH_CLUSTER_THRESHOLD against
-## bench_cluster_baseline.json (calibration-adjusted). Runs bench-smoke and
-## bench-cluster first so both artifacts are fresh.
+## BatchRun stops scaling (workers4 vs workers1, 4+ CPU runners only), when
+## the ordering benchmark stops showing scored < identity peak nodes, when
+## the replace pass stops dominating delete on the pairs frontier, when
+## hash-affinity routing stops beating round-robin on cluster cache hit
+## rate, or when the hash-routed p99 regresses more than
+## BENCH_CLUSTER_THRESHOLD against bench_cluster_baseline.json
+## (calibration-adjusted). Runs bench-smoke and bench-cluster first so both
+## artifacts are fresh.
 bench-check: bench-smoke bench-cluster
 	$(GO) run ./scripts/benchsummary -check \
 		-baseline bench_baseline.json -summary BENCH_summary.json \
 		-threshold $(BENCH_CHECK_THRESHOLD) -min-ns $(BENCH_CHECK_MIN_NS) \
 		-min-scaling $(BENCH_CHECK_MIN_SCALING) \
-		-min-alloc-factor $(BENCH_CHECK_MIN_ALLOC_FACTOR) \
 		-cluster BENCH_cluster.json -cluster-baseline bench_cluster_baseline.json \
 		-cluster-threshold $(BENCH_CLUSTER_THRESHOLD)
 

@@ -307,7 +307,7 @@ func TestFacadeBatchRun(t *testing.T) {
 		}
 	}
 	res, err := repro.BatchRun(context.Background(), jobs,
-		repro.WithWorkers(3), repro.WithBaseSeed(5), repro.WithReuseManagers())
+		repro.WithWorkers(3), repro.WithBaseSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,8 +332,8 @@ func TestFacadeBatchRun(t *testing.T) {
 	jobsSeen := 0
 	for w, ws := range res.PerWorker {
 		jobsSeen += ws.Jobs
-		if ws.Jobs > 0 && ws.ArenaNodes == 0 {
-			t.Errorf("worker %d ran %d jobs but reports no arena occupancy", w, ws.Jobs)
+		if ws.Jobs > 0 && ws.Busy <= 0 {
+			t.Errorf("worker %d ran %d jobs but reports no busy time", w, ws.Jobs)
 		}
 	}
 	if jobsSeen != len(jobs) {

@@ -12,8 +12,6 @@
 //	simd -timeout 5m              # default per-job simulation timeout
 //	simd -max-qubits 32           # reject wider circuits (0 = unlimited)
 //	simd -events 4096             # per-job event-stream buffer (SSE)
-//	simd -reuse                   # reuse DD managers across jobs (faster,
-//	                              # results not bit-reproducible)
 //	simd -grace 30s               # shutdown grace period for live jobs
 //
 // The process shuts down gracefully on SIGINT/SIGTERM: the listener closes,
@@ -45,9 +43,6 @@ func main() {
 	maxShots := flag.Int("max-shots", 0, "reject submissions requesting more samples (0 = unlimited)")
 	maxJobs := flag.Int("max-jobs", 4096, "retained finished jobs before the oldest are evicted (0 = unlimited)")
 	events := flag.Int("events", 1024, "per-job event buffer for GET /v1/jobs/{id}/events (oldest events evicted beyond this)")
-	reuse := flag.Bool("reuse", false, "reuse DD managers across jobs (warm memory; results stay bit-identical)")
-	prewarm := flag.Int("prewarm", 0, "pre-allocate this many DD node slots per worker (implies -reuse)")
-	retain := flag.Int("retain", 0, "trim a worker arena above this node capacity when idle (0 = unbounded; implies -reuse)")
 	grace := flag.Duration("grace", 30*time.Second, "shutdown grace period for in-flight jobs (0 = wait forever)")
 	flag.Parse()
 
@@ -60,10 +55,7 @@ func main() {
 		MaxShots:          *maxShots,
 		MaxJobs:           *maxJobs,
 		EventBufferSize:   *events,
-		ReuseManagers:     *reuse || *prewarm > 0 || *retain > 0,
 	}
-	cfg.Arena.PrewarmNodes = *prewarm
-	cfg.Arena.MaxRetainedNodes = *retain
 	if cfg.MaxJobs == 0 {
 		cfg.MaxJobs = -1 // flag's 0 means unlimited; Config treats 0 as "default"
 	}
@@ -75,8 +67,8 @@ func main() {
 	if resolvedWorkers <= 0 {
 		resolvedWorkers = runtime.GOMAXPROCS(0)
 	}
-	log.Printf("simd: listening on %s (workers=%d cache=%d timeout=%v reuse=%v)",
-		*addr, resolvedWorkers, *cache, *timeout, *reuse)
+	log.Printf("simd: listening on %s (workers=%d cache=%d timeout=%v)",
+		*addr, resolvedWorkers, *cache, *timeout)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

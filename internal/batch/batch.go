@@ -43,13 +43,11 @@ type Job struct {
 	// Options.Deadline wins over both.
 	Timeout time.Duration
 	// Finalize, when non-nil, runs on the worker goroutine immediately
-	// after the simulation finishes (on success and on failure alike),
-	// while the worker's DD manager is still exclusively owned by this job.
-	// This is the only safe place to post-process a result when managers
-	// are reused: r.Result.Manager (when r.Result is non-nil) is valid for
-	// sampling or fidelity computations here, but may be recycled as soon
-	// as Finalize returns. Mutations to r are reflected in the reported
-	// JobResult.
+	// after the simulation finishes (on success, on failure, and after a
+	// recovered panic alike), so post-processing such as sampling runs in
+	// parallel with the other workers. Each job gets a fresh DD manager, so
+	// r.Result (when non-nil) stays valid after Finalize returns too.
+	// Mutations to r are reflected in the reported JobResult.
 	Finalize func(r *JobResult)
 }
 
@@ -70,8 +68,9 @@ type JobResult struct {
 	// started).
 	Elapsed time.Duration
 	// Err is the simulation error, the per-job deadline error (wrapping
-	// sim.ErrDeadlineExceeded), or the batch context's cancellation cause
-	// for jobs that never started.
+	// sim.ErrDeadlineExceeded), an error wrapping ErrJobPanicked when the
+	// run panicked, or the batch context's cancellation cause for jobs that
+	// never started.
 	Err error
 }
 
@@ -120,22 +119,6 @@ type Options struct {
 	// JobTimeout bounds every job's simulation (Job.Timeout overrides it
 	// per job). Zero means no limit.
 	JobTimeout time.Duration
-	// ReuseManagers keeps one manager per worker alive across that
-	// worker's jobs instead of building a fresh one per job. Between jobs
-	// the worker resets the manager (sim.Simulator.Reset), so later jobs
-	// allocate from warm node pools, cache backings, and the interned-weight
-	// arena instead of growing them from scratch. Reset restores bit-level
-	// reproducibility: every job's result is bit-identical to a run on a
-	// fresh manager regardless of worker count or job-to-worker assignment.
-	// The remaining trade-off is lifetime, not accuracy: a job's
-	// Result.Final is only valid until its worker starts the next job, so
-	// post-processing must happen in Job.Finalize.
-	ReuseManagers bool
-	// Arena sizes the per-worker memory arenas used when ReuseManagers is
-	// set (ignored otherwise); see ArenaConfig. Workers draw reset
-	// simulators from a process-wide arena at batch start and return them
-	// at batch end, so consecutive batches share warm memory.
-	Arena ArenaConfig
 	// Observer, when non-nil, receives batch-lifecycle events: per-job
 	// start/done on the job's worker, and one WorkerStats summary per
 	// worker. See Observer for the concurrency contract.
@@ -191,32 +174,15 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*Result, error) {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			var s *sim.Simulator
-			if opts.ReuseManagers {
-				s = acquireSim(opts.Arena)
-				defer releaseSim(s, opts.Arena)
-			}
 			ws := &res.PerWorker[worker] // workers only touch their own entry
-			first := true
 			for idx := range idxCh {
-				if s != nil && !first {
-					// Reset — not merely recycle — so the next job replays
-					// bit-identically to a fresh manager while reusing the
-					// pools, cache backings, and weight arena.
-					s.Reset()
-				}
-				first = false
 				if opts.Observer != nil {
 					opts.Observer.OnJobStart(worker, idx, jobs[idx].Name)
 				}
-				jr := runJob(ctx, worker, idx, jobs[idx], opts, s)
+				jr := runJob(ctx, worker, idx, jobs[idx], opts)
 				res.Jobs[idx] = jr // each index is written exactly once
 				ws.Jobs++
 				ws.Busy += jr.Elapsed
-				if s != nil {
-					ws.ArenaNodes = s.M.Pool().Capacity
-					ws.ArenaWeights = s.M.CN.Size()
-				}
 				if opts.Observer != nil {
 					opts.Observer.OnJobDone(worker, jr)
 				}
@@ -265,9 +231,8 @@ dispatch:
 	return res, cause
 }
 
-// runJob executes one job on the worker's simulator (or a fresh one when
-// managers are not reused).
-func runJob(ctx context.Context, worker, idx int, job Job, opts Options, s *sim.Simulator) (jr JobResult) {
+// runJob executes one job on a fresh simulator.
+func runJob(ctx context.Context, worker, idx int, job Job, opts Options) (jr JobResult) {
 	if job.Finalize != nil {
 		defer func() { job.Finalize(&jr) }()
 	}
@@ -297,19 +262,29 @@ func runJob(ctx context.Context, worker, idx int, job Job, opts Options, s *sim.
 			o.Deadline = time.Now().Add(timeout)
 		}
 	}
-	if job.NewStrategy != nil {
-		o.Strategy = job.NewStrategy()
-	}
 	if job.Observer != nil {
 		o.Observer = job.Observer
 	}
-	if s == nil {
-		s = sim.New()
-	}
 	begin := time.Now()
-	jr.Result, jr.Err = s.Run(job.Circuit, o)
+	jr.Result, jr.Err = simulate(job, o)
 	jr.Elapsed = time.Since(begin)
 	return jr
+}
+
+// simulate runs the job on a fresh simulator. A panic in the engine or in a
+// user strategy fails only this job, with an error wrapping ErrJobPanicked
+// that carries the panic value; the manager it panicked on is dropped with
+// it.
+func simulate(job Job, o sim.Options) (res *sim.Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = nil, fmt.Errorf("%w: %v", ErrJobPanicked, v)
+		}
+	}()
+	if job.NewStrategy != nil {
+		o.Strategy = job.NewStrategy()
+	}
+	return sim.New().Run(job.Circuit, o)
 }
 
 // Seed derives the measurement seed for the job at the given index from a

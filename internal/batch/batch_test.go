@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/dd"
 	"repro/internal/gen"
 	"repro/internal/sim"
 )
@@ -319,13 +321,44 @@ func TestNilContextDefaultsToBackground(t *testing.T) {
 	}
 }
 
-func TestReuseManagersCompletes(t *testing.T) {
-	res, err := Run(context.Background(), approxJobs(6), Options{Workers: 2, ReuseManagers: true})
+// panicStrategy panics on its first AfterGate call, standing in for a
+// faulty user strategy.
+type panicStrategy struct{ core.Exact }
+
+func (panicStrategy) AfterGate(*dd.Manager, int, int, dd.VEdge) (dd.VEdge, *core.Round, error) {
+	panic("strategy exploded")
+}
+
+// TestPanickingJobFailsAlone: a panic inside one job's run fails that job
+// with ErrJobPanicked (carrying the panic value), Finalize still sees the
+// error, and every other job of the batch completes.
+func TestPanickingJobFailsAlone(t *testing.T) {
+	jobs := approxJobs(6)
+	const bad = 3
+	jobs[bad].NewStrategy = func() core.Strategy { return panicStrategy{} }
+	var finalErr error
+	jobs[bad].Finalize = func(r *JobResult) { finalErr = r.Err }
+	res, err := Run(context.Background(), jobs, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Completed != 6 {
-		t.Fatalf("completed = %d, want 6", res.Completed)
+	if res.Completed != len(jobs)-1 || res.Failed != 1 {
+		t.Fatalf("completed/failed = %d/%d, want %d/1", res.Completed, res.Failed, len(jobs)-1)
+	}
+	jr := res.Jobs[bad]
+	if !errors.Is(jr.Err, ErrJobPanicked) || jr.Result != nil {
+		t.Fatalf("panicking job: err %v result %v, want ErrJobPanicked and no result", jr.Err, jr.Result)
+	}
+	if !strings.Contains(jr.Err.Error(), "strategy exploded") {
+		t.Errorf("error %q does not carry the panic value", jr.Err)
+	}
+	if !errors.Is(finalErr, ErrJobPanicked) {
+		t.Errorf("Finalize saw err %v, want ErrJobPanicked", finalErr)
+	}
+	for i, jr := range res.Jobs {
+		if i != bad && (jr.Err != nil || jr.Result == nil) {
+			t.Errorf("job %d: err %v result %v", i, jr.Err, jr.Result)
+		}
 	}
 }
 

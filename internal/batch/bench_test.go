@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -13,8 +15,8 @@ import (
 // BenchmarkBatchRun measures the fan-out speedup of the worker pool on a
 // fleet of independent approximate simulations (the Table I / sweep
 // workload shape). On a multi-core machine ns/op drops as workers rise
-// while cpu-s/op stays flat; on a single core the pool degrades gracefully
-// to serial throughput.
+// while cpu-s/op (process CPU time, user plus system, per batch) stays
+// flat; on a single core the pool degrades gracefully to serial throughput.
 func BenchmarkBatchRun(b *testing.B) {
 	mkJobs := func() []Job {
 		jobs := make([]Job, 16)
@@ -34,6 +36,7 @@ func BenchmarkBatchRun(b *testing.B) {
 	runBatch := func(b *testing.B, opts Options) {
 		jobs := mkJobs()
 		b.ResetTimer()
+		cpu0 := processCPU(b)
 		for i := 0; i < b.N; i++ {
 			res, err := Run(context.Background(), jobs, opts)
 			if err != nil {
@@ -42,23 +45,21 @@ func BenchmarkBatchRun(b *testing.B) {
 			if res.Completed != 16 {
 				b.Fatalf("completed %d of 16", res.Completed)
 			}
-			b.ReportMetric(res.CPUTime.Seconds()/float64(b.N), "cpu-s/op")
 		}
+		b.ReportMetric((processCPU(b)-cpu0).Seconds()/float64(b.N), "cpu-s/op")
 	}
 	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			runBatch(b, Options{Workers: workers})
 		})
 	}
-	// The arena configuration measures the steady state the batch engine is
-	// designed for: per-worker managers reused across jobs, drawing from the
-	// process-wide simulator arena. One untimed warmup batch populates the
-	// arena so even a single timed iteration exercises the warm path.
-	b.Run("workers4_arena", func(b *testing.B) {
-		opts := NewOptions(WithWorkers(4), WithArena(ArenaConfig{PrewarmNodes: 1 << 15}))
-		if _, err := Run(context.Background(), mkJobs(), opts); err != nil {
-			b.Fatal(err)
-		}
-		runBatch(b, opts)
-	})
+}
+
+// processCPU returns the user plus system CPU time the process has used.
+func processCPU(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

@@ -1,6 +1,6 @@
 // Package batch fans independent simulation jobs out across a pool of
-// worker goroutines. Each worker owns one sim.Simulator — DD managers are
-// not goroutine-safe, so a manager is never shared between workers.
+// worker goroutines. Each job runs on its own sim.Simulator — DD managers
+// are not goroutine-safe, so a manager is never shared between jobs.
 //
 // Two execution shapes share one Job type and one determinism contract:
 //
@@ -15,15 +15,11 @@
 // The engine guarantees determinism: a job's outcome depends only on its
 // circuit, its options, and the seed derived from the base seed and the
 // job (or submission) index — never on the worker it lands on or the
-// worker count. By default every job runs on a fresh manager; with
-// ReuseManagers each worker keeps one manager and resets it between jobs,
-// reusing its node pools, cache backings, and interned-weight arena. Reset
-// restores the manager to a bit-level fresh state, so in both modes node
+// worker count. Every job runs on a fresh manager that it owns, so node
 // identities, value-table contents, and therefore every reported metric
 // are bit-identical between a serial (one-worker) and a parallel run; only
-// wall-clock timing fields differ. The one reuse trade-off is lifetime: a
-// job's Result.Final is only valid inside Job.Finalize, which runs on the
-// worker before the manager is reset for the next job.
+// wall-clock timing fields differ. A job's Result stays valid after the job
+// ends. A panic during a job's run fails that job alone (ErrJobPanicked).
 //
 // Cancellation is cooperative and two-level: the batch context (or a
 // Handle's Cancel) stops dispatch of not-yet-started jobs and aborts

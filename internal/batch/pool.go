@@ -7,14 +7,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // Typed pool errors. Submit returns the first two; the third is the default
 // cancellation cause. All are errors.Is-able end to end: the HTTP service
 // maps them to error codes and the client maps the codes back to these
-// sentinels.
+// sentinels. ErrJobPanicked marks a job whose run panicked (see
+// JobResult.Err).
 var (
 	// ErrShutdown is returned by Submit after Close or Shutdown.
 	ErrShutdown = errors.New("batch: pool closed")
@@ -25,12 +24,10 @@ var (
 	// Handle.Cancel when the caller passes nil; JobResult.Canceled reports
 	// true for it.
 	ErrCanceled = errors.New("batch: job canceled")
+	// ErrJobPanicked is wrapped by the error of a job whose simulation (or
+	// strategy construction) panicked. The panic fails that job only.
+	ErrJobPanicked = errors.New("batch: job panicked")
 )
-
-// ErrPoolClosed is the former name of ErrShutdown.
-//
-// Deprecated: use ErrShutdown.
-var ErrPoolClosed = ErrShutdown
 
 // PoolOptions configures an open-ended worker pool.
 type PoolOptions struct {
@@ -49,15 +46,6 @@ type PoolOptions struct {
 	// JobTimeout bounds every job's simulation unless the job carries its
 	// own Timeout. Zero means no limit.
 	JobTimeout time.Duration
-	// ReuseManagers keeps one DD manager per worker alive across jobs,
-	// resetting it between jobs so warm pooled memory is reused while
-	// results stay bit-identical to fresh managers (see Options.
-	// ReuseManagers). A job's Result.Final is then only valid inside
-	// Job.Finalize.
-	ReuseManagers bool
-	// Arena sizes the per-worker memory arenas when ReuseManagers is set;
-	// see ArenaConfig.
-	Arena ArenaConfig
 }
 
 // Pool is the open-ended counterpart of Run: instead of executing one closed
@@ -67,9 +55,8 @@ type PoolOptions struct {
 //
 // The determinism contract matches Run: a job's outcome depends only on its
 // circuit, its options, and the seed derived from PoolOptions.BaseSeed and
-// its submission index — never on which worker runs it, in either manager
-// mode (ReuseManagers resets workers' managers between jobs, which keeps
-// results bit-identical while reusing their memory).
+// its submission index — never on which worker runs it. Every job runs on a
+// fresh manager.
 type Pool struct {
 	opts    PoolOptions
 	workers int
@@ -100,11 +87,9 @@ type Pool struct {
 // two workers' hot counters on one line makes those updates contend
 // (false sharing) even though they touch disjoint fields.
 type workerCounters struct {
-	jobs         atomic.Int64
-	busyNanos    atomic.Int64
-	arenaNodes   atomic.Int64
-	arenaWeights atomic.Int64
-	_            [32]byte
+	jobs      atomic.Int64
+	busyNanos atomic.Int64
+	_         [48]byte
 }
 
 // Handle tracks one submitted job through the pool.
@@ -149,35 +134,18 @@ func NewPool(opts PoolOptions) *Pool {
 
 func (p *Pool) worker(id int) {
 	defer p.wg.Done()
-	var s *sim.Simulator
-	if p.opts.ReuseManagers {
-		s = acquireSim(p.opts.Arena)
-		defer releaseSim(s, p.opts.Arena)
-	}
 	wc := &p.perWorker[id]
-	first := true
 	opts := Options{
 		BaseSeed:   p.opts.BaseSeed,
 		JobTimeout: p.opts.JobTimeout,
 	}
 	for h := range p.queue {
 		p.queued.Add(-1)
-		if s != nil && !first {
-			// Reset — not merely recycle — so the next job replays
-			// bit-identically to a fresh manager on warm memory, as the
-			// closed-batch worker loop does.
-			s.Reset()
-		}
-		first = false
 		h.started.Store(true)
 		p.running.Add(1)
-		h.res = runJob(h.ctx, id, h.index, h.job, opts, s)
+		h.res = runJob(h.ctx, id, h.index, h.job, opts)
 		wc.jobs.Add(1)
 		wc.busyNanos.Add(int64(h.res.Elapsed))
-		if s != nil {
-			wc.arenaNodes.Store(int64(s.M.Pool().Capacity))
-			wc.arenaWeights.Store(int64(s.M.CN.Size()))
-		}
 		// Release the job context: this detaches it from the pool context's
 		// children (it would otherwise stay registered — and leak — for the
 		// pool's lifetime). The job is over, so the cause is never observed.
@@ -310,10 +278,8 @@ func (p *Pool) State() PoolState {
 		busy := time.Duration(wc.busyNanos.Load())
 		st.PerWorker[i] = PoolWorkerState{
 			WorkerStats: WorkerStats{
-				Jobs:         int(wc.jobs.Load()),
-				Busy:         busy,
-				ArenaNodes:   int(wc.arenaNodes.Load()),
-				ArenaWeights: int(wc.arenaWeights.Load()),
+				Jobs: int(wc.jobs.Load()),
+				Busy: busy,
 			},
 		}
 		if uptime > 0 {

@@ -27,7 +27,7 @@ type FrontierPoint struct {
 }
 
 // SweepFrontier simulates each circuit exactly once on the batch engine and,
-// in Job.Finalize (while the worker's manager is still live), applies the
+// in Job.Finalize (on the worker, so the passes run in parallel), applies the
 // one-shot delete and replace passes to the final state at every node
 // budget. The result is the fidelity/size frontier of the two approximation
 // families at genuinely equal budgets — the delete-vs-replace comparison of

@@ -90,14 +90,6 @@ type RunOptions struct {
 	Parallel int
 	// BaseSeed derives per-job measurement seeds.
 	BaseSeed int64
-	// Reuse keeps one DD manager per worker across jobs, resetting it
-	// between jobs (batch.Options.ReuseManagers). Rows stay bit-identical
-	// for every worker count — Reset restores a bit-level fresh manager —
-	// while warm jobs run out of retained pool memory. Suites with
-	// SampleTrue ignore it: the true-fidelity column compares final states
-	// after the batch, and a reused manager's states are invalidated once
-	// its worker moves on.
-	Reuse bool
 	// Progress, when non-nil, receives (done, total) after each finished
 	// simulation job (exact references and approximate runs; the optional
 	// true-fidelity re-runs are not counted).
@@ -122,7 +114,7 @@ func (o RunOptions) workers() int {
 }
 
 func (o RunOptions) batchOptions() batch.Options {
-	bo := batch.Options{BaseSeed: o.BaseSeed, Workers: o.workers(), ReuseManagers: o.Reuse}
+	bo := batch.Options{BaseSeed: o.BaseSeed, Workers: o.workers()}
 	if o.Progress != nil {
 		p := o.Progress
 		bo.Progress = func(done, total int, _ batch.JobResult) { p(done, total) }
@@ -164,11 +156,7 @@ func (s Suite) RunMemoryDrivenBatch(ctx context.Context, opts RunOptions) ([]Row
 		}
 	}
 
-	bo := opts.batchOptions()
-	if s.SampleTrue {
-		bo.ReuseManagers = false // sampleTrue reads Final states post-batch
-	}
-	bres, err := batch.Run(ctx, jobs, bo)
+	bres, err := batch.Run(ctx, jobs, opts.batchOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -242,11 +230,7 @@ func (s Suite) RunFidelityDrivenBatch(ctx context.Context, opts RunOptions) ([]R
 		)
 	}
 
-	bo := opts.batchOptions()
-	if s.SampleTrue {
-		bo.ReuseManagers = false // sampleTrue reads Final states post-batch
-	}
-	bres, err := batch.Run(ctx, jobs, bo)
+	bres, err := batch.Run(ctx, jobs, opts.batchOptions())
 	if err != nil {
 		return nil, err
 	}

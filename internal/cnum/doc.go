@@ -9,20 +9,18 @@
 // computing", ICCAD 2019): values are bucketed on a tolerance grid and looked
 // up before insertion.
 //
-// The cell map is split into shards. Per-manager tables (NewTable) are
-// single-goroutine and skip all locking; NewSharedTable enables per-shard
-// locks so many goroutines can intern concurrently against one table.
-// Lookup/hit counters are atomic in both modes, and the batch engine's
-// per-worker managers each own an unshared table, so nothing is shared hot.
+// Each decision-diagram manager owns one Table, used from one goroutine, so
+// the table takes no locks. The cell map is split into a few plain maps,
+// which measured faster than one map on long circuits. Lookup/hit counters
+// are atomic so observers may read them while the owner interns.
 //
 // Every interned Value carries a stable 64-bit hash derived from its
 // tolerance-grid cell (Value.Hash): equal weights hash equally in every
 // table at the same tolerance, independent of interning order. The dd
 // package combines these with node ids to key its unique tables and compute
 // caches, keeping all hashing independent of pointer values and therefore
-// deterministic across runs, worker counts, and manager reuse. Values are
-// allocated from retained chunks; Reset harvests them onto a free list so a
-// reused manager's interning runs allocation-free at steady state. The table
-// also tracks lookup/hit counters and a per-epoch peak size (Stats, Peak),
-// which sim surfaces per run as weight-table pressure.
+// deterministic across runs and worker counts. Values are allocated from
+// chunks to cut per-value allocations. The table also tracks lookup/hit
+// counters and a peak size (Stats, Peak), which sim surfaces per run as
+// weight-table pressure.
 package cnum

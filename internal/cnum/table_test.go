@@ -189,3 +189,37 @@ func TestQuickSeparation(t *testing.T) {
 		}
 	}
 }
+
+// TestCanonicalHashBridge: equal weights carry equal hashes across tables,
+// independent of interning order — the property that keeps DD hashing
+// bit-identical across per-worker managers.
+func TestCanonicalHashBridge(t *testing.T) {
+	a := NewTable()
+	b := NewTable()
+	vals := []complex128{
+		complex(1/math.Sqrt2, 0),
+		complex(0, -1),
+		complex(0.5, 0.5),
+		complex(-0.25, 1e-3),
+		complex(0.123456789, -0.987654321),
+	}
+	// Intern in opposite orders.
+	for _, c := range vals {
+		a.Lookup(c)
+	}
+	for i := len(vals) - 1; i >= 0; i-- {
+		b.Lookup(vals[i])
+	}
+	for _, c := range vals {
+		va, vb := a.Lookup(c), b.Lookup(c)
+		if va.Hash() != vb.Hash() {
+			t.Errorf("hash of %v differs across tables: %x vs %x", c, va.Hash(), vb.Hash())
+		}
+		if va.Hash() != a.CanonicalHash(c) {
+			t.Errorf("CanonicalHash(%v) = %x, interned hash %x", c, a.CanonicalHash(c), va.Hash())
+		}
+	}
+	if a.Zero.Hash() != b.Zero.Hash() || a.One.Hash() != b.One.Hash() {
+		t.Error("canonical constants hash differently across tables")
+	}
+}

@@ -13,7 +13,7 @@ type Value struct {
 
 	// hash is a well-spread 64-bit identifier assigned by the owning Table
 	// at interning time. It is stable for the Value's lifetime and
-	// deterministic across runs (it depends only on the interning order),
+	// deterministic across runs (it depends only on the tolerance-grid cell),
 	// which lets decision-diagram tables hash on weights without touching
 	// pointer values.
 	hash uint64

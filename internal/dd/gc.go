@@ -98,14 +98,11 @@ func (m *Manager) ClearCaches() {
 	if m.cacheGen == 0 {
 		// Generation counter wrapped: entries stamped 0 (the zero value)
 		// must not read as live, so physically clear once per 2^32 clears.
-		// The full backing arrays are cleared, not just the live windows:
-		// after a Reset shrinks the windows, stale entries beyond them would
-		// otherwise resurrect when a later growth reslices over them.
-		clear(m.addBack)
-		clear(m.maddBack)
-		clear(m.mulBack)
-		clear(m.mmBack)
-		clear(m.ipBack)
+		clear(m.addCache)
+		clear(m.maddCache)
+		clear(m.mulCache)
+		clear(m.mmCache)
+		clear(m.ipCache)
 		m.cacheGen = 1
 	}
 	// Rebase the grow-under-pressure baselines: the cold misses that follow

@@ -37,6 +37,12 @@ func TestCleanupKeepsRootEdgesValid(t *testing.T) {
 	if pool.Free == 0 {
 		t.Fatal("sweep left the free lists empty despite garbage")
 	}
+	if pool.Capacity != pool.Live+pool.Free {
+		t.Errorf("pool invariant broken after Cleanup: cap=%d live=%d free=%d", pool.Capacity, pool.Live, pool.Free)
+	}
+	if got, want := m.CountV(keep), CountVNodes(keep); got != want {
+		t.Errorf("CountV = %d, CountVNodes = %d", got, want)
+	}
 
 	got := m.ToVector(keep, n)
 	for i := range got {

@@ -256,6 +256,11 @@ func init() {
 	}); err != nil {
 		panic(err)
 	}
+	if err := core.RegisterStrategy("panic-at-gate", func(json.RawMessage) (core.Strategy, error) {
+		return panicAtGate{}, nil
+	}); err != nil {
+		panic(err)
+	}
 }
 
 func TestRegisteredStrategyUsableOverHTTP(t *testing.T) {
@@ -287,6 +292,33 @@ func TestRegisteredStrategyUsableOverHTTP(t *testing.T) {
 	}
 	if approx != len(res.Rounds) {
 		t.Errorf("%d approximation events vs %d rounds", approx, len(res.Rounds))
+	}
+}
+
+// panicAtGate is a registered strategy that panics after its first gate,
+// standing in for a faulty in-process user strategy.
+type panicAtGate struct{ core.Exact }
+
+func (panicAtGate) AfterGate(*dd.Manager, int, int, dd.VEdge) (dd.VEdge, *core.Round, error) {
+	panic("user strategy bug")
+}
+
+func TestPanickingStrategyFailsOnlyItsJob(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	req := inlineRequest("panicking", gen.QFT(4))
+	req.Strategy = "panic-at-gate"
+	st := c.submit(req, http.StatusAccepted)
+	final := c.await(st.ID)
+	if final.Status != StatusFailed {
+		t.Fatalf("panicking job ended %q, want %q", final.Status, StatusFailed)
+	}
+	if !strings.Contains(final.Error, "user strategy bug") {
+		t.Errorf("error %q does not carry the panic value", final.Error)
+	}
+	// The same server (and its single worker) keeps serving.
+	ok := c.submit(inlineRequest("after-panic", gen.QFT(4)), http.StatusAccepted)
+	if got := c.await(ok.ID); got.Status != StatusDone {
+		t.Fatalf("job after the panic ended %q: %s", got.Status, got.Error)
 	}
 }
 

@@ -51,8 +51,8 @@ func errorCode(err error) string {
 
 // Config sizes a Server. The zero value selects sensible defaults
 // everywhere: one worker per CPU, a 4×workers submission queue, a
-// 1024-entry result cache, fresh managers per job, and no qubit/shot/time
-// limits.
+// 1024-entry result cache, and no qubit/shot/time limits. Every job runs on
+// a fresh DD manager.
 type Config struct {
 	// Workers is the simulation worker count (≤ 0 = one per CPU).
 	Workers int
@@ -83,14 +83,6 @@ type Config struct {
 	// this, the oldest are evicted and streams report the gap; 0 selects
 	// 1024, the minimum is 16. The buffer never blocks the simulation.
 	EventBufferSize int
-	// ReuseManagers keeps one DD manager per worker across jobs, reset
-	// between jobs: warm memory under heavy traffic with results still
-	// bit-identical to fresh managers (see batch.Options.ReuseManagers).
-	// The default builds a fresh manager per job.
-	ReuseManagers bool
-	// Arena sizes the per-worker memory arenas when ReuseManagers is set
-	// (pre-warmed node pools, bounded retention); see batch.ArenaConfig.
-	Arena batch.ArenaConfig
 	// BaseSeed participates in derived measurement seeds only through
 	// jobs submitted with an explicit seed of 0 — those derive from the
 	// content hash instead, so this is reserved and currently unused
@@ -171,11 +163,9 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg: cfg,
 		pool: batch.NewPool(batch.PoolOptions{
-			Workers:       cfg.Workers,
-			QueueDepth:    cfg.QueueDepth,
-			BaseSeed:      cfg.BaseSeed,
-			ReuseManagers: cfg.ReuseManagers,
-			Arena:         cfg.Arena,
+			Workers:    cfg.Workers,
+			QueueDepth: cfg.QueueDepth,
+			BaseSeed:   cfg.BaseSeed,
 		}),
 		cache:    newResultCache(cfg.CacheEntries),
 		jobs:     make(map[string]*jobState),
@@ -411,8 +401,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, s.statusOf(js, false))
 }
 
-// finalizer builds the batch.Job Finalize hook: it runs on the worker while
-// the job's DD manager is still exclusively owned, samples the final state,
+// finalizer builds the batch.Job Finalize hook: it runs on the worker with
+// the job's own DD manager, samples the final state,
 // marshals the result payload, stores it on the job, feeds the cache, and
 // snapshots the worker's manager for /v1/stats.
 func (s *Server) finalizer(js *jobState, comp *compiled) func(*batch.JobResult) {
@@ -505,8 +495,6 @@ func buildPayload(jr *batch.JobResult, comp *compiled) ResultPayload {
 		})
 	}
 	if shots := comp.req.Shots; shots > 0 {
-		// Safe here (and only here): with manager reuse the final state
-		// dies when the worker picks up its next job.
 		rng := rand.New(rand.NewSource(comp.seed))
 		var hist map[uint64]int
 		if res.Density != nil {

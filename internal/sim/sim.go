@@ -173,14 +173,13 @@ func (w WeightTableStats) HitRatio() float64 {
 type Simulator struct {
 	M *dd.Manager
 
-	// Gate-DD cache. sigSlots maps gate signatures to slots and survives
-	// Reset — the signature strings are allocated once per distinct gate
-	// over the simulator's lifetime, not once per job. gateDDs holds the
-	// per-epoch operation DDs (an edge with a nil node is unbuilt);
-	// invalidation (session start/end, Reset, reorder passes) zeroes the
-	// slice without touching the map, so warm jobs rebuild gate DDs out of
-	// pooled nodes with zero cache-key churn. Sessions on one simulator are
-	// sequential by contract, so sharing the cache is safe.
+	// Gate-DD cache for unitary gates. sigSlots maps gate signatures to
+	// slots, so the signature strings are allocated once per distinct gate
+	// over the simulator's lifetime. gateDDs holds the per-epoch operation
+	// DDs (an edge with a nil node is unbuilt); invalidation (session
+	// start/end, reorder passes) zeroes the slice without touching the map.
+	// Sessions on one simulator are sequential by contract, so sharing the
+	// cache is safe.
 	sigSlots map[string]int
 	gateDDs  []dd.MEdge
 	// sigBuf is the reusable gate-signature buffer; slot lookups go through
@@ -195,20 +194,8 @@ func New() *Simulator { return &Simulator{M: dd.New()} }
 
 // Recycle sweeps the manager's node pools with no roots, returning every
 // node built by previous runs to the free lists for reuse. Edges from
-// earlier Results (including Result.Final) become invalid; Reset is the
-// stronger variant that also restores bit-level reproducibility.
+// earlier Results (including Result.Final) become invalid.
 func (s *Simulator) Recycle() { s.M.Cleanup(nil, nil) }
-
-// Reset restores the simulator to a logically fresh state while keeping its
-// accumulated memory (node pools, cache backings, interned-weight arena) for
-// reuse: the next run behaves bit-identically to one on a brand-new
-// Simulator, but allocates almost nothing. Edges from earlier Results become
-// invalid. The batch engine calls this between jobs when managers are
-// reused.
-func (s *Simulator) Reset() {
-	s.M.Reset()
-	s.clearGateCache()
-}
 
 // clearGateCache invalidates every cached operation DD while keeping the
 // signature-to-slot map (and its interned key strings) intact.
@@ -227,39 +214,53 @@ func (s *Simulator) Run(c *circuit.Circuit, opts Options) (*Result, error) {
 	return ses.Finish()
 }
 
-// gateDD builds (or fetches) the operation DD for a gate.
+// gateDD fetches the operation DD for a gate from the cache, building it
+// with GateDD on a miss. Only unitary gates are cached.
 func (s *Simulator) gateDD(g circuit.Gate, n int) (dd.MEdge, error) {
+	if g.Kind != circuit.KindUnitary {
+		return GateDD(s.M, g, n)
+	}
+	s.sigBuf = appendGateSignature(s.sigBuf[:0], g)
+	slot, ok := s.sigSlots[string(s.sigBuf)]
+	if !ok {
+		if s.sigSlots == nil {
+			s.sigSlots = make(map[string]int, 32)
+		}
+		slot = len(s.gateDDs)
+		s.sigSlots[string(s.sigBuf)] = slot
+		s.gateDDs = append(s.gateDDs, dd.MEdge{})
+	}
+	if e := s.gateDDs[slot]; e.N != nil {
+		return e, nil
+	}
+	e, err := GateDD(s.M, g, n)
+	if err != nil {
+		return dd.MEdge{}, err
+	}
+	s.gateDDs[slot] = e
+	return e, nil
+}
+
+// GateDD builds the operation DD of a unitary or permutation gate on an
+// n-qubit register in m, with no caching. Permutation gates require the
+// identity variable order.
+func GateDD(m *dd.Manager, g circuit.Gate, n int) (dd.MEdge, error) {
 	switch g.Kind {
 	case circuit.KindUnitary:
-		s.sigBuf = appendGateSignature(s.sigBuf[:0], g)
-		slot, ok := s.sigSlots[string(s.sigBuf)]
-		if !ok {
-			if s.sigSlots == nil {
-				s.sigSlots = make(map[string]int, 32)
-			}
-			slot = len(s.gateDDs)
-			s.sigSlots[string(s.sigBuf)] = slot
-			s.gateDDs = append(s.gateDDs, dd.MEdge{})
-		}
-		if e := s.gateDDs[slot]; e.N != nil {
-			return e, nil
-		}
 		u, err := g.Matrix()
 		if err != nil {
 			return dd.MEdge{}, err
 		}
-		e := s.M.MakeGateDD(n, u, g.Target, g.Controls...)
-		s.gateDDs[slot] = e
-		return e, nil
+		return m.MakeGateDD(n, u, g.Target, g.Controls...), nil
 	case circuit.KindPerm:
-		if !s.M.OrderIsIdentity() {
+		if !m.OrderIsIdentity() {
 			return dd.MEdge{}, fmt.Errorf("permutation gates require the identity variable order")
 		}
-		base, err := s.M.MakePermutationDD(g.Perm)
+		base, err := m.MakePermutationDD(g.Perm)
 		if err != nil {
 			return dd.MEdge{}, err
 		}
-		return s.M.ExtendMatrix(base, g.PermWidth, n, g.Controls...), nil
+		return m.ExtendMatrix(base, g.PermWidth, n, g.Controls...), nil
 	default:
 		return dd.MEdge{}, fmt.Errorf("unknown gate kind %d", g.Kind)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/dd"
+	"repro/internal/sim"
 )
 
 // Result reports an equivalence check.
@@ -39,7 +40,7 @@ func Equivalent(u, v *circuit.Circuit) (*Result, error) {
 	res := &Result{MaxDDSize: dd.CountMNodes(prod)}
 	apply := func(c *circuit.Circuit) error {
 		for _, g := range c.Gates() {
-			gd, err := gateDD(m, g, n)
+			gd, err := sim.GateDD(m, g, n)
 			if err != nil {
 				return err
 			}
@@ -59,25 +60,6 @@ func Equivalent(u, v *circuit.Circuit) (*Result, error) {
 
 	res.Equivalent, res.Phase = isIdentityUpToPhase(m, prod, n)
 	return res, nil
-}
-
-func gateDD(m *dd.Manager, g circuit.Gate, n int) (dd.MEdge, error) {
-	switch g.Kind {
-	case circuit.KindUnitary:
-		u, err := g.Matrix()
-		if err != nil {
-			return dd.MEdge{}, err
-		}
-		return m.MakeGateDD(n, u, g.Target, g.Controls...), nil
-	case circuit.KindPerm:
-		base, err := m.MakePermutationDD(g.Perm)
-		if err != nil {
-			return dd.MEdge{}, err
-		}
-		return m.ExtendMatrix(base, g.PermWidth, n, g.Controls...), nil
-	default:
-		return dd.MEdge{}, fmt.Errorf("verify: unknown gate kind %d", g.Kind)
-	}
 }
 
 // isIdentityUpToPhase checks whether the operation DD is λ·I for some unit
@@ -139,7 +121,7 @@ func StateEquivalent(u, v *circuit.Circuit) (bool, float64, error) {
 	run := func(c *circuit.Circuit) (dd.VEdge, error) {
 		state := m.ZeroState(n)
 		for _, g := range c.Gates() {
-			gd, err := gateDD(m, g, n)
+			gd, err := sim.GateDD(m, g, n)
 			if err != nil {
 				return dd.VEdge{}, err
 			}

@@ -20,9 +20,6 @@
 //   - the batch engine stopped scaling: BenchmarkBatchRun/workers4 must be
 //     at least -min-scaling times faster than workers1 (skipped with a note
 //     when the summary was measured on fewer than 4 CPUs), or
-//   - manager reuse stopped paying: BenchmarkBatchRun/workers4_arena must
-//     allocate at least -min-alloc-factor times fewer allocs/op and B/op
-//     than the fresh-manager workers4 configuration, or
 //   - the ordering win disappeared: BenchmarkSessionOrdering/scored must
 //     keep its peak_nodes metric below BenchmarkSessionOrdering/identity, or
 //   - the replace-vs-delete frontier regressed: BenchmarkFrontierPairs must
@@ -109,14 +106,13 @@ func main() {
 	// the gate covers the Batch engine through its serial configuration.
 	match := flag.String("match", `Gate|Session|Channel|BatchRun/workers1$`, "regexp selecting the gated benchmarks")
 	minScaling := flag.Float64("min-scaling", 2.5, "required BatchRun workers1/workers4 ns/op speedup; skipped below 4 CPUs (0 disables)")
-	minAllocFactor := flag.Float64("min-alloc-factor", 5, "required allocs/op and B/op reduction of BatchRun/workers4_arena vs workers4 (0 disables)")
 	clusterPath := flag.String("cluster", "", "BENCH_cluster.json from cmd/loadgen to gate (check mode; empty skips the cluster gate)")
 	clusterBaseline := flag.String("cluster-baseline", "bench_cluster_baseline.json", "committed cluster latency baseline (check mode)")
 	clusterThreshold := flag.Float64("cluster-threshold", 0.25, "relative calibration-adjusted p99 regression that fails the cluster gate")
 	flag.Parse()
 
 	if *check {
-		if err := runCheck(*baseline, *summaryPath, *threshold, *minNs, *match, *minScaling, *minAllocFactor); err != nil {
+		if err := runCheck(*baseline, *summaryPath, *threshold, *minNs, *match, *minScaling); err != nil {
 			fmt.Fprintf(os.Stderr, "benchsummary: %v\n", err)
 			os.Exit(1)
 		}
@@ -360,7 +356,7 @@ func loadSummary(path string) (*Summary, error) {
 	return &s, nil
 }
 
-func runCheck(baselinePath, summaryPath string, threshold, minNs float64, match string, minScaling, minAllocFactor float64) error {
+func runCheck(baselinePath, summaryPath string, threshold, minNs float64, match string, minScaling float64) error {
 	matcher, err := regexp.Compile(match)
 	if err != nil {
 		return fmt.Errorf("bad -match: %w", err)
@@ -448,30 +444,6 @@ func runCheck(baselinePath, summaryPath string, threshold, minNs float64, match 
 		default:
 			fmt.Printf("benchsummary: parallel scaling OK (workers4 %.2fx faster than workers1 on %d CPUs)\n",
 				w1.NsPerOp/w4.NsPerOp, cur.NumCPU)
-		}
-	}
-
-	// Arena gate: reusing per-worker managers must keep cutting allocation
-	// traffic by at least minAllocFactor against the fresh-manager
-	// configuration. Allocation counts do not depend on core count, so this
-	// gate runs everywhere.
-	if minAllocFactor > 0 {
-		fresh, okF := cur.Benchmarks["BenchmarkBatchRun/workers4"]
-		arena, okA := cur.Benchmarks["BenchmarkBatchRun/workers4_arena"]
-		switch {
-		case !okF || !okA:
-			failures = append(failures, "BenchmarkBatchRun/{workers4,workers4_arena}: missing from summary (arena reduction unverified)")
-		case arena.AllocsPerOp*minAllocFactor > fresh.AllocsPerOp:
-			failures = append(failures, fmt.Sprintf(
-				"BenchmarkBatchRun: arena allocs/op %.0f vs fresh %.0f (%.1fx reduction, gate requires >= %.1fx)",
-				arena.AllocsPerOp, fresh.AllocsPerOp, fresh.AllocsPerOp/arena.AllocsPerOp, minAllocFactor))
-		case arena.BytesPerOp*minAllocFactor > fresh.BytesPerOp:
-			failures = append(failures, fmt.Sprintf(
-				"BenchmarkBatchRun: arena B/op %.0f vs fresh %.0f (%.1fx reduction, gate requires >= %.1fx)",
-				arena.BytesPerOp, fresh.BytesPerOp, fresh.BytesPerOp/arena.BytesPerOp, minAllocFactor))
-		default:
-			fmt.Printf("benchsummary: arena reduction OK (allocs %.1fx, bytes %.1fx below fresh managers)\n",
-				fresh.AllocsPerOp/arena.AllocsPerOp, fresh.BytesPerOp/arena.BytesPerOp)
 		}
 	}
 
