@@ -23,7 +23,7 @@ BENCH_CLUSTER_THRESHOLD ?= 0.25
 # measured when the gate landed (PR 8); cover-check fails below this floor.
 COVER_FLOOR ?= 85.0
 
-.PHONY: all build test race bench bench-smoke bench-check bench-baseline bench-cluster bench-cluster-baseline examples fmt fmt-check vet doc-lint atlas atlas-check simd-smoke cluster-smoke fuzz-smoke cover-check ci
+.PHONY: all build test race bench bench-smoke bench-check bench-baseline bench-cluster bench-cluster-baseline examples fmt fmt-check vet doc-lint perfbench-check atlas atlas-check simd-smoke cluster-smoke fuzz-smoke cover-check ci
 
 all: build
 
@@ -112,6 +112,13 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
+## perfbench-check: vet and test the end-to-end benchmark module
+## (perfbench/, its own go.mod replacing repro with this tree). The root
+## `go test ./...` never compiles it, so an API change that breaks the
+## benchmark would otherwise go unseen (the CI gate)
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 ## doc-lint: fail when any package lacks a doc.go package comment, so
 ## `go doc` stays useful everywhere (the CI gate)
 doc-lint:
@@ -171,4 +178,4 @@ cluster-smoke:
 	sh scripts/cluster_smoke.sh
 
 ## ci: everything the pipeline runs, in order
-ci: fmt-check vet doc-lint build examples race fuzz-smoke cover-check atlas-check simd-smoke cluster-smoke
+ci: fmt-check vet doc-lint perfbench-check build examples race fuzz-smoke cover-check atlas-check simd-smoke cluster-smoke

@@ -177,11 +177,9 @@ type (
 	// Table1Row is one Table I line.
 	Table1Row = benchtab.Row
 	// Table1RunOptions configures suite execution (worker count, seeds,
-	// progress); accepted by Table1Suite.RunMemoryDrivenBatch and
-	// RunFidelityDrivenBatch.
+	// progress); accepted by Table1Suite.RunMemoryDriven and
+	// RunFidelityDriven. The zero value runs serially.
 	Table1RunOptions = benchtab.RunOptions
-	// SweepOptions configures the hyper-parameter sweep drivers.
-	SweepOptions = benchtab.SweepOptions
 	// QASMProgram is a parsed OpenQASM 2.0 program.
 	QASMProgram = qasm.Program
 )

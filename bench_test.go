@@ -1,13 +1,14 @@
 package repro
 
 // Benchmark harness regenerating the paper's evaluation (Table I) and the
-// supporting ablations. Every benchmark corresponds to an experiment in
-// DESIGN.md's experiment index; EXPERIMENTS.md records paper-vs-measured.
+// supporting ablations. Every benchmark corresponds to an experiment of the
+// report that cmd/experiments prints (its doc comment lists the sections).
 //
 // The default (small) preset keeps `go test -bench=.` in the minutes range;
 // run `go run ./cmd/table1 -scale medium|paper` for larger instances.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -324,10 +325,10 @@ func BenchmarkTable1SmallPresetFull(b *testing.B) {
 	suite.SampleTrue = false
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := suite.RunMemoryDriven(); err != nil {
+		if _, err := suite.RunMemoryDriven(context.Background(), benchtab.RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := suite.RunFidelityDriven(); err != nil {
+		if _, err := suite.RunFidelityDriven(context.Background(), benchtab.RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

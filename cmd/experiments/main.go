@@ -1,10 +1,13 @@
-// Command experiments regenerates the measured data behind EXPERIMENTS.md:
-// Table I (both halves) at the chosen scale, the hyper-parameter sweeps
-// (E8/E9), the paper's worked examples (E3/E7), the Lemma 1 / fidelity
-// tracking validation (E6), and the noisy-fidelity comparison of the
-// density-matrix backend against quantum-trajectory sampling (E12), and the
-// approximability-atlas winner table behind serving's strategy=auto (E13),
-// as one markdown report on stdout.
+// Command experiments regenerates the measured data behind the README's
+// strategy guidance and docs/ATLAS.md: Table I (both halves) at the chosen
+// scale, the hyper-parameter sweeps (E8/E9), the variable-ordering sweep
+// (E10), the delete-vs-replace frontier (E11), the paper's worked examples
+// (E3/E7), the Lemma 1 / fidelity tracking validation (E6), the
+// noisy-fidelity comparison of the density-matrix backend against
+// quantum-trajectory sampling (E12), and the approximability-atlas winner
+// table behind serving's strategy=auto (E13), as one markdown report on
+// stdout. Every sweep row names its configuration as the registry pair
+// (strategy, JSON params) that a serve submission takes verbatim.
 //
 // Usage:
 //
@@ -22,6 +25,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -115,11 +119,11 @@ func table1(scale string, opts benchtab.RunOptions) error {
 		return err
 	}
 	ctx := context.Background()
-	mem, err := suite.RunMemoryDrivenBatch(ctx, opts)
+	mem, err := suite.RunMemoryDriven(ctx, opts)
 	if err != nil {
 		return err
 	}
-	fid, err := suite.RunFidelityDrivenBatch(ctx, opts)
+	fid, err := suite.RunFidelityDriven(ctx, opts)
 	if err != nil {
 		return err
 	}
@@ -127,22 +131,27 @@ func table1(scale string, opts benchtab.RunOptions) error {
 	return nil
 }
 
-func thresholdSweep(opts benchtab.SweepOptions) error {
+// thresholdSweep is E8: the memory-driven strategy on one supremacy circuit
+// across thresholds at fixed f_round and growth, against the exact run.
+func thresholdSweep(opts benchtab.RunOptions) error {
 	cfg := supremacy.Config{Rows: 3, Cols: 4, Depth: 16, Seed: 0}
 	c, err := cfg.Generate()
 	if err != nil {
 		return err
 	}
-	points, err := benchtab.SweepThresholdBatch(context.Background(), c,
-		[]int{256, 512, 1024, 2048, 4096}, 0.975, 1.05, opts)
-	if err != nil {
-		return err
+	cells := []benchtab.Cell{{Name: "exact", Circuit: c, Strategy: "exact"}}
+	for _, th := range []int{256, 512, 1024, 2048, 4096} {
+		cells = append(cells, benchtab.Cell{
+			Name: fmt.Sprintf("threshold=%d", th), Circuit: c, Strategy: "memory",
+			Params: json.RawMessage(fmt.Sprintf(`{"threshold":%d,"round_fidelity":0.975,"growth":1.05}`, th)),
+		})
 	}
-	fmt.Print(benchtab.FormatSweepMarkdown(points))
-	return nil
+	return printSweep(cells, opts)
 }
 
-func orderingSweep(opts benchtab.SweepOptions) error {
+// orderingSweep is E10: every circuit under the identity order (the
+// baseline) and under each non-trivial static ordering with sifting.
+func orderingSweep(opts benchtab.RunOptions) error {
 	cfg := supremacy.Config{Rows: 3, Cols: 4, Depth: 12, Seed: 0}
 	sup, err := cfg.Generate()
 	if err != nil {
@@ -153,23 +162,43 @@ func orderingSweep(opts benchtab.SweepOptions) error {
 		pairs.H(i)
 		pairs.CX(i, i+8)
 	}
-	points, err := benchtab.SweepOrderings(context.Background(),
-		[]*circuit.Circuit{pairs, gen.QFT(14), sup},
-		[]string{order.Reversed, order.Scored}, true, opts)
-	if err != nil {
-		return err
+	var cells []benchtab.Cell
+	for _, c := range []*circuit.Circuit{pairs, gen.QFT(14), sup} {
+		cells = append(cells, benchtab.Cell{Name: order.Identity, Circuit: c, Strategy: "reorder",
+			Params: json.RawMessage(`{"order":"identity"}`)})
+		for _, o := range []string{order.Reversed, order.Scored} {
+			cells = append(cells, benchtab.Cell{Name: o, Circuit: c, Strategy: "reorder",
+				Params: json.RawMessage(fmt.Sprintf(`{"order":%q,"sift":true}`, o))})
+		}
 	}
-	fmt.Print(benchtab.FormatOrderMarkdown(points))
-	return nil
+	return printSweep(cells, opts)
 }
 
-func roundTradeoff(opts benchtab.SweepOptions) error {
+// roundTradeoff is E9: the fidelity-driven strategy on one Shor instance
+// across f_round at fixed f_final (few aggressive rounds vs many gentle
+// ones), rounds placed at the IQFT boundaries.
+func roundTradeoff(opts benchtab.RunOptions) error {
 	inst, err := shor.NewInstance(33, 5)
 	if err != nil {
 		return err
 	}
-	points, err := benchtab.SweepRoundFidelityBatch(context.Background(), inst,
-		[]float64{0.51, 0.71, 0.8, 0.9, 0.95, 0.99}, 0.5, opts)
+	c := inst.BuildCircuit()
+	locs, err := json.Marshal(inst.IQFTBoundaries(c))
+	if err != nil {
+		return err
+	}
+	cells := []benchtab.Cell{{Name: "exact", Circuit: c, Strategy: "exact"}}
+	for _, fr := range []float64{0.51, 0.71, 0.8, 0.9, 0.95, 0.99} {
+		cells = append(cells, benchtab.Cell{
+			Name: fmt.Sprintf("fround=%g", fr), Circuit: c, Strategy: "fidelity",
+			Params: json.RawMessage(fmt.Sprintf(`{"final_fidelity":0.5,"round_fidelity":%g,"locations":%s}`, fr, locs)),
+		})
+	}
+	return printSweep(cells, opts)
+}
+
+func printSweep(cells []benchtab.Cell, opts benchtab.RunOptions) error {
+	points, err := benchtab.Sweep(context.Background(), cells, opts)
 	if err != nil {
 		return err
 	}
@@ -177,7 +206,7 @@ func roundTradeoff(opts benchtab.SweepOptions) error {
 	return nil
 }
 
-func replaceFrontier(opts benchtab.SweepOptions) error {
+func replaceFrontier(opts benchtab.RunOptions) error {
 	circs, err := benchtab.FrontierCircuits()
 	if err != nil {
 		return err

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	loadgen -out BENCH_cluster.json
-//	loadgen -backends 3 -qubits 4,8 -strategies exact,memory -rps 60 -phase 3s
+//	loadgen -backends 3 -qubits 4,8 -strategies exact,auto -rps 60 -phase 3s
 //
 // See internal/loadgen for the harness and docs/ARCHITECTURE.md for the
 // cluster tier it measures.

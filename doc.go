@@ -11,8 +11,8 @@
 //     circuit block boundaries, guaranteeing a final-fidelity budget.
 //
 // The package re-exports the user-facing API of the internal packages; see
-// README.md for a tour, DESIGN.md for the architecture, and EXPERIMENTS.md
-// for the Table I reproduction.
+// README.md for a tour, docs/ARCHITECTURE.md for the architecture, and the
+// experiments command (cmd/experiments) for the Table I reproduction.
 //
 // Quick start:
 //
@@ -32,9 +32,9 @@
 //	res, err := repro.BatchRun(ctx, jobs,
 //		repro.WithWorkers(4), repro.WithJobTimeout(time.Minute))
 //
-// The same engine backs Table1Suite.RunMemoryDrivenBatch /
-// RunFidelityDrivenBatch and the benchtab sweep drivers; the table1 and
-// experiments commands expose it as -parallel N.
+// The same engine backs Table1Suite.RunMemoryDriven / RunFidelityDriven and
+// the benchtab sweep runner; the table1 and experiments commands expose it
+// as -parallel N.
 //
 // Simulation as a service: NewServer (and the standalone simd command)
 // wraps the batch engine in an asynchronous HTTP/JSON API — submit circuits

@@ -7,9 +7,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/order"
 	"repro/internal/supremacy"
@@ -176,71 +174,53 @@ func SweepAtlas(ctx context.Context, opts RunOptions) (*Atlas, error) {
 		return nil, err
 	}
 	// Phase 1: exact references, to size the per-class budget grids.
-	exactJobs := make([]batch.Job, len(workloads))
+	exactCells := make([]Cell, len(workloads))
 	for i, w := range workloads {
-		exactJobs[i] = batch.Job{Name: "exact/" + w.Class, Circuit: w.Circuit}
+		exactCells[i] = Cell{Name: "exact/" + w.Class, Circuit: w.Circuit, Strategy: "exact"}
 	}
-	exactRes, err := batch.Run(ctx, exactJobs, opts.batchOptions())
+	exact, err := Sweep(ctx, exactCells, opts)
 	if err != nil {
 		return nil, err
 	}
-	exactMax := make([]int, len(workloads))
-	for i, jr := range exactRes.Jobs {
-		if jr.Err != nil {
-			return nil, fmt.Errorf("benchtab: %s: %w", jr.Name, jr.Err)
-		}
-		exactMax[i] = jr.Result.MaxDDSize
-	}
 
-	// Phase 2: the full grid, one batch job per cell.
-	var jobs []batch.Job
+	// Phase 2: the full grid, one cell per configuration.
+	var cells []Cell
 	var configs []atlasConfig
 	var classIdx []int
 	for i, w := range workloads {
-		w := w
-		for _, cfg := range atlasGrid(exactMax[i]) {
-			cfg := cfg
-			jobs = append(jobs, batch.Job{
-				Name:    fmt.Sprintf("%s/%s/%s", w.Class, cfg.strategy, cfg.order),
-				Circuit: w.Circuit,
-				NewStrategy: func() core.Strategy {
-					s, err := core.NewStrategyByName(cfg.registry, json.RawMessage(cfg.params))
-					if err != nil {
-						panic(fmt.Sprintf("benchtab: atlas grid config invalid: %v", err))
-					}
-					return s
-				},
+		for _, cfg := range atlasGrid(exact[i].MaxDD) {
+			cells = append(cells, Cell{
+				Name:     fmt.Sprintf("%s/%s/%s", w.Class, cfg.strategy, cfg.order),
+				Circuit:  w.Circuit,
+				Strategy: cfg.registry,
+				Params:   json.RawMessage(cfg.params),
 			})
 			configs = append(configs, cfg)
 			classIdx = append(classIdx, i)
 		}
 	}
-	bres, err := batch.Run(ctx, jobs, opts.batchOptions())
+	points, err := Sweep(ctx, cells, opts)
 	if err != nil {
 		return nil, err
 	}
 
 	atlas := &Atlas{}
 	cellsByClass := make([][]AtlasCell, len(workloads))
-	for j, jr := range bres.Jobs {
-		if jr.Err != nil {
-			return nil, fmt.Errorf("benchtab: %s: %w", jr.Name, jr.Err)
-		}
+	for j, p := range points {
 		i := classIdx[j]
-		res := jr.Result
 		cell := AtlasCell{
 			Class:            workloads[i].Class,
-			Circuit:          workloads[i].Circuit.Name,
+			Circuit:          p.Circuit,
 			Strategy:         configs[j].strategy,
 			Order:            configs[j].order,
-			RegistryStrategy: configs[j].registry,
-			RegistryParams:   configs[j].params,
-			MaxDD:            res.MaxDDSize,
-			FinalDD:          res.FinalDDSize,
-			Rounds:           len(res.Rounds),
-			Fidelity:         res.EstimatedFidelity,
-			ExactMax:         exactMax[i],
-			Runtime:          res.Runtime,
+			RegistryStrategy: p.Strategy,
+			RegistryParams:   p.Params,
+			MaxDD:            p.MaxDD,
+			FinalDD:          p.FinalDD,
+			Rounds:           p.Rounds,
+			Fidelity:         p.FinalFid,
+			ExactMax:         exact[i].MaxDD,
+			Runtime:          p.Runtime,
 		}
 		cellsByClass[i] = append(cellsByClass[i], cell)
 		atlas.Cells = append(atlas.Cells, cell)
@@ -263,7 +243,7 @@ func SweepAtlas(ctx context.Context, opts RunOptions) (*Atlas, error) {
 			Circuit:   w.Circuit.Name,
 			Qubits:    w.Circuit.NumQubits,
 			Gates:     w.Circuit.Len(),
-			ExactMax:  exactMax[i],
+			ExactMax:  exact[i].MaxDD,
 			Winner:    win,
 			Cells:     len(cells),
 			Dominated: dominated,
@@ -325,12 +305,8 @@ func FormatAtlasGridMarkdown(a *Atlas) string {
 	b.WriteString("| Class | Strategy | Order | Config | Peak DD | Final DD | Fidelity | Rounds | Exact peak |\n")
 	b.WriteString("|---|---|---|---|---|---|---|---|---|\n")
 	for _, c := range a.Cells {
-		params := c.RegistryParams
-		if params == "" {
-			params = "-"
-		}
 		fmt.Fprintf(&b, "| %s | %s | %s | `%s` | %d | %d | %.4f | %d | %d |\n",
-			c.Class, c.Strategy, c.Order, params, c.MaxDD, c.FinalDD, c.Fidelity, c.Rounds, c.ExactMax)
+			c.Class, c.Strategy, c.Order, paramsOrDash(c.RegistryParams), c.MaxDD, c.FinalDD, c.Fidelity, c.Rounds, c.ExactMax)
 	}
 	return b.String()
 }

@@ -33,7 +33,7 @@ type FrontierPoint struct {
 // families at genuinely equal budgets — the delete-vs-replace comparison of
 // arXiv 2507.04335 on this repo's workloads. Budgets larger than the exact
 // final size are skipped (both passes are no-ops there).
-func SweepFrontier(ctx context.Context, circs []*circuit.Circuit, budgets []int, kinds []core.SubstituteKind, opts SweepOptions) ([]FrontierPoint, error) {
+func SweepFrontier(ctx context.Context, circs []*circuit.Circuit, budgets []int, kinds []core.SubstituteKind, opts RunOptions) ([]FrontierPoint, error) {
 	if kinds == nil {
 		kinds = core.DefaultSubstitutes()
 	}

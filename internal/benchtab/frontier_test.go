@@ -17,7 +17,7 @@ func TestSweepFrontierReplaceDominates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := SweepFrontier(context.Background(), circs, []int{16, 24, 32, 48}, nil, SweepOptions{})
+	points, err := SweepFrontier(context.Background(), circs, []int{16, 24, 32, 48}, nil, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func BenchmarkFrontierPairs(b *testing.B) {
 	var points []FrontierPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		points, err = SweepFrontier(context.Background(), circs, budgets, nil, SweepOptions{Parallel: 1})
+		points, err = SweepFrontier(context.Background(), circs, budgets, nil, RunOptions{Parallel: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,11 +12,11 @@ import (
 
 // stripPointTiming zeroes the wall-clock fields, the only ones that may
 // legitimately differ between a serial and a parallel run.
-func stripPointTiming(points []SweepPoint) []SweepPoint {
-	out := append([]SweepPoint(nil), points...)
+func stripPointTiming(points []Point) []Point {
+	out := append([]Point(nil), points...)
 	for i := range out {
 		out[i].Runtime = 0
-		out[i].ExactTime = 0
+		out[i].BaseTime = 0
 	}
 	return out
 }
@@ -37,10 +37,10 @@ func TestSweepThresholdParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	thresholds := []int{32, 64, 128}
-	run := func(parallel int) []SweepPoint {
+	run := func(parallel int) []Point {
 		t.Helper()
-		points, err := SweepThresholdBatch(context.Background(), c, thresholds, 0.975, 1.1,
-			SweepOptions{Parallel: parallel, BaseSeed: 11})
+		points, err := Sweep(context.Background(), thresholdCells(c, thresholds, 0.975, 1.1),
+			RunOptions{Parallel: parallel, BaseSeed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,10 +58,11 @@ func TestSweepRoundFidelityParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	frounds := []float64{0.71, 0.9, 0.99}
-	run := func(parallel int) []SweepPoint {
+	cells := roundFidelityCells(t, inst, frounds, 0.5)
+	run := func(parallel int) []Point {
 		t.Helper()
-		points, err := SweepRoundFidelityBatch(context.Background(), inst, frounds, 0.5,
-			SweepOptions{Parallel: parallel, BaseSeed: 11})
+		points, err := Sweep(context.Background(), cells,
+			RunOptions{Parallel: parallel, BaseSeed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,11 +79,11 @@ func TestTable1ParallelMatchesSerial(t *testing.T) {
 	run := func(parallel int) []Row {
 		t.Helper()
 		opts := RunOptions{Parallel: parallel, BaseSeed: 3}
-		mem, err := suite.RunMemoryDrivenBatch(context.Background(), opts)
+		mem, err := suite.RunMemoryDriven(context.Background(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fid, err := suite.RunFidelityDrivenBatch(context.Background(), opts)
+		fid, err := suite.RunFidelityDriven(context.Background(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,8 +110,9 @@ func TestSweepProgressAndCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var calls int
-	_, err = SweepThresholdBatch(context.Background(), c, []int{16, 32}, 0.975, 1.1,
-		SweepOptions{Progress: func(done, total int) {
+	cells := thresholdCells(c, []int{16, 32}, 0.975, 1.1)
+	_, err = Sweep(context.Background(), cells,
+		RunOptions{Progress: func(done, total int) {
 			calls++
 			if total != 3 { // exact + two thresholds
 				t.Errorf("progress total = %d, want 3", total)
@@ -125,7 +127,7 @@ func TestSweepProgressAndCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = SweepThresholdBatch(ctx, c, []int{16, 32}, 0.975, 1.1, SweepOptions{})
+	_, err = Sweep(ctx, cells, RunOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled sweep returned %v, want context.Canceled", err)
 	}

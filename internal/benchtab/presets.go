@@ -26,7 +26,7 @@ const (
 // same generators, same f_round sweep, same f_final = 0.5 target, thresholds
 // placed at the same fraction (~1/4) of the DD ceiling 2^n, and a gentler
 // threshold growth so the round counts land in the paper's regime at the
-// smaller ceilings (see DESIGN.md substitutions).
+// smaller ceilings (SupremacyCase.Growth).
 func NewSuite(preset string) (Suite, error) {
 	switch preset {
 	case PresetSmall:

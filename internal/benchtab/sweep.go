@@ -2,6 +2,7 @@ package benchtab
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -9,140 +10,127 @@ import (
 	"repro/internal/batch"
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/shor"
 )
 
-// SweepPoint is one configuration of a hyper-parameter sweep (the series
-// behind the paper's hyper-parameter discussion; E8/E9 in DESIGN.md).
-type SweepPoint struct {
-	Label string // swept value, e.g. "threshold=1024" or "fround=0.9"
-	// Params is the full strategy configuration behind this row (strategy
-	// name plus every parameter, not just the swept one), so sweep tables
-	// are self-describing.
-	Params    string
-	Rounds    int
-	MaxDD     int
-	Runtime   time.Duration
-	FinalFid  float64 // tracked fidelity product
-	FidBound  float64
-	ExactMax  int           // exact reference (same for all points)
-	ExactTime time.Duration // exact reference runtime
+// Cell is one strategy configuration on one circuit. The configuration is
+// the registry pair (Strategy, Params) that core.NewStrategyByName builds —
+// the same pair a serve submission carries as strategy/strategy_params and
+// the atlas records — so every table row can be resubmitted verbatim.
+type Cell struct {
+	Name     string // labels the cell in tables and errors
+	Circuit  *circuit.Circuit
+	Strategy string
+	Params   json.RawMessage
 }
 
-// SweepOptions configures how a sweep executes; it is the same options
-// type the Table I drivers take. The zero value runs serially, matching
-// the historical behavior of SweepThreshold and SweepRoundFidelity.
-type SweepOptions = RunOptions
-
-// SweepThreshold runs the memory-driven strategy on one circuit across a
-// range of thresholds at fixed f_round (E8), serially.
-func SweepThreshold(c *circuit.Circuit, thresholds []int, fround, growth float64) ([]SweepPoint, error) {
-	return SweepThresholdBatch(context.Background(), c, thresholds, fround, growth, SweepOptions{})
+func (c Cell) newStrategy() (core.Strategy, error) {
+	return core.NewStrategyByName(c.Strategy, c.Params)
 }
 
-// SweepThresholdBatch is SweepThreshold on the batch engine: the exact
-// reference and every threshold configuration are independent jobs fanned
-// out across opts.Parallel workers, with context cancellation.
-func SweepThresholdBatch(ctx context.Context, c *circuit.Circuit, thresholds []int, fround, growth float64, opts SweepOptions) ([]SweepPoint, error) {
-	jobs := make([]batch.Job, 0, len(thresholds)+1)
-	jobs = append(jobs, batch.Job{Name: "exact", Circuit: c})
-	params := make([]string, 0, len(thresholds))
-	for _, th := range thresholds {
-		jobs = append(jobs, batch.Job{
-			Name:    fmt.Sprintf("threshold=%d", th),
-			Circuit: c,
-			NewStrategy: func() core.Strategy {
-				return &core.MemoryDriven{Threshold: th, RoundFidelity: fround, Growth: growth}
-			},
-		})
-		params = append(params, fmt.Sprintf("memory threshold=%d fround=%g growth=%g", th, fround, growth))
-	}
-	return runSweep(ctx, jobs, params, opts)
+// Point is the measured outcome of one cell of a sweep.
+type Point struct {
+	Name     string
+	Circuit  string
+	Strategy string
+	Params   string // the cell's registry JSON, verbatim
+	Rounds   int
+	MaxDD    int
+	FinalDD  int
+	Runtime  time.Duration
+	FinalFid float64 // tracked fidelity product
+	FidBound float64
+	// SiftPasses counts dynamic reordering passes (reorder with sift only).
+	SiftPasses int
+	// BaseMaxDD and BaseTime are the peak and runtime of the first cell on
+	// the same circuit: the reference (exact, or the identity order) that a
+	// sweep lists first.
+	BaseMaxDD int
+	BaseTime  time.Duration
 }
 
-// SweepRoundFidelity runs the fidelity-driven strategy on a Shor instance
-// across a range of per-round fidelities at fixed f_final (E9: few
-// aggressive rounds vs many gentle ones), serially.
-func SweepRoundFidelity(inst *shor.Instance, frounds []float64, ffinal float64) ([]SweepPoint, error) {
-	return SweepRoundFidelityBatch(context.Background(), inst, frounds, ffinal, SweepOptions{})
-}
+// NodesSaved is BaseMaxDD − MaxDD (negative when the cell peaked higher
+// than its reference).
+func (p Point) NodesSaved() int { return p.BaseMaxDD - p.MaxDD }
 
-// SweepRoundFidelityBatch is SweepRoundFidelity on the batch engine.
-func SweepRoundFidelityBatch(ctx context.Context, inst *shor.Instance, frounds []float64, ffinal float64, opts SweepOptions) ([]SweepPoint, error) {
-	c := inst.BuildCircuit()
-	locations := inst.IQFTBoundaries(c) // shared read-only across jobs
-	jobs := make([]batch.Job, 0, len(frounds)+1)
-	jobs = append(jobs, batch.Job{Name: "exact", Circuit: c})
-	params := make([]string, 0, len(frounds))
-	for _, fr := range frounds {
-		jobs = append(jobs, batch.Job{
-			Name:    fmt.Sprintf("fround=%g", fr),
-			Circuit: c,
-			NewStrategy: func() core.Strategy {
-				strat := core.NewFidelityDriven(ffinal, fr)
-				strat.Locations = locations
-				return strat
-			},
-		})
-		params = append(params, fmt.Sprintf("fidelity fround=%g ffinal=%g locations=%d", fr, ffinal, len(locations)))
-	}
-	return runSweep(ctx, jobs, params, opts)
-}
-
-// runSweep executes jobs[0] as the exact reference plus one job per swept
-// configuration and assembles the points in job order; params[i] is the
-// self-describing strategy configuration of jobs[i+1].
-func runSweep(ctx context.Context, jobs []batch.Job, params []string, opts SweepOptions) ([]SweepPoint, error) {
-	bres, err := batch.Run(ctx, jobs, opts.batchOptions())
+// Sweep runs every cell on the batch engine and reports one point per cell,
+// in cell order; a failed cell fails the sweep. Points are identical for
+// every opts.Parallel, Runtime and BaseTime aside.
+func Sweep(ctx context.Context, cells []Cell, opts RunOptions) ([]Point, error) {
+	bres, err := run(ctx, cells, 0, opts)
 	if err != nil {
 		return nil, err
 	}
-	exact := bres.Jobs[0]
-	if exact.Err != nil {
-		return nil, exact.Err
-	}
-	out := make([]SweepPoint, 0, len(bres.Jobs)-1)
-	for i, jr := range bres.Jobs[1:] {
+	out := make([]Point, len(cells))
+	base := make(map[*circuit.Circuit]int)
+	for i, jr := range bres.Jobs {
 		if jr.Err != nil {
 			return nil, fmt.Errorf("benchtab: %s: %w", jr.Name, jr.Err)
 		}
-		res := jr.Result
-		out = append(out, SweepPoint{
-			Label:     jr.Name,
-			Params:    params[i],
-			Rounds:    len(res.Rounds),
-			MaxDD:     res.MaxDDSize,
-			Runtime:   res.Runtime,
-			FinalFid:  res.EstimatedFidelity,
-			FidBound:  res.FidelityBound,
-			ExactMax:  exact.Result.MaxDDSize,
-			ExactTime: exact.Result.Runtime,
-		})
+		c, res := cells[i], jr.Result
+		b, ok := base[c.Circuit]
+		if !ok {
+			b, base[c.Circuit] = i, i
+		}
+		out[i] = Point{
+			Name:       c.Name,
+			Circuit:    c.Circuit.Name,
+			Strategy:   c.Strategy,
+			Params:     string(c.Params),
+			Rounds:     len(res.Rounds),
+			MaxDD:      res.MaxDDSize,
+			FinalDD:    res.FinalDDSize,
+			Runtime:    res.Runtime,
+			FinalFid:   res.EstimatedFidelity,
+			FidBound:   res.FidelityBound,
+			SiftPasses: res.SiftPasses,
+		}
+		out[i].BaseMaxDD, out[i].BaseTime = out[b].MaxDD, out[b].Runtime
 	}
 	return out, nil
 }
 
+// run is the package's one strategy-run loop: one batch job per cell, in
+// cell order, each building its strategy from the cell's registry pair.
+// Every pair is built once up front, so a bad configuration fails the call
+// rather than a job. timeout bounds each job (0 = none).
+func run(ctx context.Context, cells []Cell, timeout time.Duration, opts RunOptions) (*batch.Result, error) {
+	jobs := make([]batch.Job, len(cells))
+	for i, c := range cells {
+		if _, err := c.newStrategy(); err != nil {
+			return nil, fmt.Errorf("benchtab: %s: %w", c.Name, err)
+		}
+		jobs[i] = batch.Job{
+			Name:    c.Name,
+			Circuit: c.Circuit,
+			Timeout: timeout,
+			NewStrategy: func() core.Strategy {
+				s, err := c.newStrategy()
+				if err != nil { // checked above, and the registry is append-only
+					panic(err)
+				}
+				return s
+			},
+		}
+	}
+	return batch.Run(ctx, jobs, opts.batchOptions())
+}
+
 // FormatSweepMarkdown renders sweep points as a markdown table.
-func FormatSweepMarkdown(points []SweepPoint) string {
+func FormatSweepMarkdown(points []Point) string {
 	var b strings.Builder
-	b.WriteString("| Config | Params | Rounds | Max DD | Runtime | f_final | Bound | Exact Max DD | Exact Time |\n")
-	b.WriteString("|---|---|---|---|---|---|---|---|---|\n")
+	b.WriteString("| Circuit | Config | Params | Rounds | Max DD | Final DD | Sifts | Saved | f_final | Bound | Base Max DD | Runtime | Base Time |\n")
+	b.WriteString("|---|---|---|---|---|---|---|---|---|---|---|---|---|\n")
 	for _, p := range points {
-		fmt.Fprintf(&b, "| %s | %s | %d | %d | %s | %.3f | %.3f | %d | %s |\n",
-			p.Label, p.Params, p.Rounds, p.MaxDD, fmtDur(p.Runtime), p.FinalFid, p.FidBound,
-			p.ExactMax, fmtDur(p.ExactTime))
+		fmt.Fprintf(&b, "| %s | %s | `%s` | %d | %d | %d | %d | %d | %.3f | %.3f | %d | %s | %s |\n",
+			p.Circuit, p.Name, paramsOrDash(p.Params), p.Rounds, p.MaxDD, p.FinalDD, p.SiftPasses,
+			p.NodesSaved(), p.FinalFid, p.FidBound, p.BaseMaxDD, fmtDur(p.Runtime), fmtDur(p.BaseTime))
 	}
 	return b.String()
 }
 
-// FormatSweepCSV renders sweep points as CSV.
-func FormatSweepCSV(points []SweepPoint) string {
-	var b strings.Builder
-	b.WriteString("config,params,rounds,max_dd,seconds,f_final,fid_bound,exact_max_dd,exact_seconds\n")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%s,%s,%d,%d,%.6f,%.6f,%.6f,%d,%.6f\n",
-			p.Label, p.Params, p.Rounds, p.MaxDD, p.Runtime.Seconds(), p.FinalFid, p.FidBound,
-			p.ExactMax, p.ExactTime.Seconds())
+func paramsOrDash(params string) string {
+	if params == "" {
+		return "-"
 	}
-	return b.String()
+	return params
 }

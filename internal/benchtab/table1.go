@@ -2,13 +2,13 @@ package benchtab
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/batch"
-	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/dd"
 	"repro/internal/shor"
@@ -80,8 +80,7 @@ type Suite struct {
 }
 
 // RunOptions configures how a suite or sweep executes. The zero value runs
-// serially, matching the historical behavior of the option-less drivers
-// (RunMemoryDriven, RunFidelityDriven, SweepThreshold, SweepRoundFidelity).
+// serially.
 type RunOptions struct {
 	// Parallel is the batch worker count; values ≤ 1 run serially (use
 	// Workers to map a "0 = all CPUs" flag value). Rows are identical for
@@ -122,184 +121,140 @@ func (o RunOptions) batchOptions() batch.Options {
 	return bo
 }
 
-// RunMemoryDriven produces the memory-driven half of Table I, serially.
-func (s Suite) RunMemoryDriven() ([]Row, error) {
-	return s.RunMemoryDrivenBatch(context.Background(), RunOptions{})
+// tableRow is one Table I row before it runs: the row's label columns plus
+// the indices of its exact reference and approximate cells.
+type tableRow struct {
+	row           Row
+	exact, approx int
 }
 
-// RunMemoryDrivenBatch produces the memory-driven half on the batch engine:
-// one job per exact reference and per (circuit, f_round) configuration.
-func (s Suite) RunMemoryDrivenBatch(ctx context.Context, opts RunOptions) ([]Row, error) {
-	var jobs []batch.Job
-	circuits := make([]*circuit.Circuit, len(s.Supremacy))
-	exactIdx := make([]int, len(s.Supremacy))
-	approxIdx := make([][]int, len(s.Supremacy))
-	for i, cs := range s.Supremacy {
+// RunMemoryDriven produces the memory-driven half of Table I on the batch
+// engine: one job per exact reference and per (circuit, f_round)
+// configuration.
+func (s Suite) RunMemoryDriven(ctx context.Context, opts RunOptions) ([]Row, error) {
+	var cells []Cell
+	var rows []tableRow
+	for _, cs := range s.Supremacy {
 		circ, err := cs.Config.Generate()
 		if err != nil {
 			return nil, err
 		}
-		circuits[i] = circ
-		exactIdx[i] = len(jobs)
-		jobs = append(jobs, batch.Job{
-			Name: cs.Config.Name() + "/exact", Circuit: circ, Timeout: s.Timeout,
-		})
-		approxIdx[i] = make([]int, len(cs.Frounds))
-		for j, fround := range cs.Frounds {
-			approxIdx[i][j] = len(jobs)
-			jobs = append(jobs, batch.Job{
-				Name:        fmt.Sprintf("%s/fround=%g", cs.Config.Name(), fround),
-				Circuit:     circ,
-				Timeout:     s.Timeout,
-				NewStrategy: memoryStrategy(cs, fround),
+		exact := len(cells)
+		cells = append(cells, Cell{Name: cs.Config.Name() + "/exact", Circuit: circ, Strategy: "exact"})
+		for _, fround := range cs.Frounds {
+			params, err := json.Marshal(core.MemoryDrivenParams{
+				Threshold: cs.Threshold, RoundFidelity: fround, Growth: cs.Growth,
+			})
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, tableRow{
+				row: Row{
+					Approach: "memory-driven",
+					Name:     cs.Config.Name(),
+					Qubits:   cs.Config.Qubits(),
+					RoundFid: fround,
+				},
+				exact:  exact,
+				approx: len(cells),
+			})
+			cells = append(cells, Cell{
+				Name:     fmt.Sprintf("%s/fround=%g", cs.Config.Name(), fround),
+				Circuit:  circ,
+				Strategy: "memory",
+				Params:   params,
 			})
 		}
 	}
-
-	bres, err := batch.Run(ctx, jobs, opts.batchOptions())
-	if err != nil {
-		return nil, err
-	}
-
-	rows := make([]Row, 0, len(jobs)-len(s.Supremacy))
-	rowIdx := make([][]int, len(s.Supremacy))
-	for i, cs := range s.Supremacy {
-		exact := bres.Jobs[exactIdx[i]]
-		rowIdx[i] = make([]int, len(cs.Frounds))
-		for j, fround := range cs.Frounds {
-			row := Row{
-				Approach: "memory-driven",
-				Name:     cs.Config.Name(),
-				Qubits:   cs.Config.Qubits(),
-				RoundFid: fround,
-			}
-			fillExact(&row, exact.Result, exact.Err)
-			fillApprox(&row, bres.Jobs[approxIdx[i][j]])
-			rowIdx[i][j] = len(rows)
-			rows = append(rows, row)
-		}
-	}
-
-	if s.SampleTrue {
-		err := s.sampleTrue(ctx, opts, rows, len(s.Supremacy), func(i int) (batch.JobResult, []sampleRerun) {
-			cs := s.Supremacy[i]
-			reruns := make([]sampleRerun, len(cs.Frounds))
-			for j, fround := range cs.Frounds {
-				reruns[j] = sampleRerun{
-					row: rowIdx[i][j], circuit: circuits[i], newStrategy: memoryStrategy(cs, fround),
-				}
-			}
-			return bres.Jobs[exactIdx[i]], reruns
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
+	return s.runRows(ctx, opts, cells, rows)
 }
 
-// RunFidelityDriven produces the fidelity-driven half of Table I, serially.
-func (s Suite) RunFidelityDriven() ([]Row, error) {
-	return s.RunFidelityDrivenBatch(context.Background(), RunOptions{})
-}
-
-// RunFidelityDrivenBatch produces the fidelity-driven half on the batch
-// engine: one exact and one approximate job per Shor instance.
-func (s Suite) RunFidelityDrivenBatch(ctx context.Context, opts RunOptions) ([]Row, error) {
-	var jobs []batch.Job
-	insts := make([]*shor.Instance, len(s.Shor))
-	circuits := make([]*circuit.Circuit, len(s.Shor))
-	strategies := make([]func() core.Strategy, len(s.Shor))
-	for i, cs := range s.Shor {
+// RunFidelityDriven produces the fidelity-driven half of Table I on the
+// batch engine: one exact and one approximate job per Shor instance, the
+// approximation rounds placed at the instance's IQFT boundaries.
+func (s Suite) RunFidelityDriven(ctx context.Context, opts RunOptions) ([]Row, error) {
+	var cells []Cell
+	var rows []tableRow
+	for _, cs := range s.Shor {
 		inst, err := shor.NewInstance(cs.N, cs.A)
 		if err != nil {
 			return nil, err
 		}
-		insts[i] = inst
 		circ := inst.BuildCircuit()
-		circuits[i] = circ
-		strategies[i] = fidelityStrategy(cs, inst.IQFTBoundaries(circ))
-		jobs = append(jobs,
-			batch.Job{Name: inst.Name() + "/exact", Circuit: circ, Timeout: s.Timeout},
-			batch.Job{
-				Name:        fmt.Sprintf("%s/fround=%g", inst.Name(), cs.RoundFidelity),
-				Circuit:     circ,
-				Timeout:     s.Timeout,
-				NewStrategy: strategies[i],
+		params, err := json.Marshal(core.FidelityDrivenParams{
+			FinalFidelity: cs.FinalFidelity,
+			RoundFidelity: cs.RoundFidelity,
+			Locations:     inst.IQFTBoundaries(circ),
+		})
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, tableRow{
+			row: Row{
+				Approach: "fidelity-driven",
+				Name:     inst.Name(),
+				Qubits:   inst.Qubits,
+				RoundFid: cs.RoundFidelity,
+			},
+			exact:  len(cells),
+			approx: len(cells) + 1,
+		})
+		cells = append(cells,
+			Cell{Name: inst.Name() + "/exact", Circuit: circ, Strategy: "exact"},
+			Cell{
+				Name:     fmt.Sprintf("%s/fround=%g", inst.Name(), cs.RoundFidelity),
+				Circuit:  circ,
+				Strategy: "fidelity",
+				Params:   params,
 			},
 		)
 	}
+	return s.runRows(ctx, opts, cells, rows)
+}
 
-	bres, err := batch.Run(ctx, jobs, opts.batchOptions())
+// runRows runs a half's cells and fills its rows from the results. A failed
+// exact reference marks its rows as timed out and a failed approximate run
+// marks its row as failed; neither fails the table.
+func (s Suite) runRows(ctx context.Context, opts RunOptions, cells []Cell, plan []tableRow) ([]Row, error) {
+	bres, err := run(ctx, cells, s.Timeout, opts)
 	if err != nil {
 		return nil, err
 	}
-
-	rows := make([]Row, 0, len(s.Shor))
-	for i, cs := range s.Shor {
-		exact := bres.Jobs[2*i]
-		row := Row{
-			Approach: "fidelity-driven",
-			Name:     insts[i].Name(),
-			Qubits:   insts[i].Qubits,
-			RoundFid: cs.RoundFidelity,
-		}
-		fillExact(&row, exact.Result, exact.Err)
-		fillApprox(&row, bres.Jobs[2*i+1])
-		rows = append(rows, row)
+	rows := make([]Row, len(plan))
+	for i, p := range plan {
+		rows[i] = p.row
+		fillExact(&rows[i], bres.Jobs[p.exact])
+		fillApprox(&rows[i], bres.Jobs[p.approx])
 	}
-
 	if s.SampleTrue {
-		err := s.sampleTrue(ctx, opts, rows, len(s.Shor), func(i int) (batch.JobResult, []sampleRerun) {
-			return bres.Jobs[2*i], []sampleRerun{
-				{row: i, circuit: circuits[i], newStrategy: strategies[i]},
-			}
-		})
-		if err != nil {
+		if err := s.sampleTrue(ctx, opts, bres.Jobs, cells, plan, rows); err != nil {
 			return nil, err
 		}
 	}
 	return rows, nil
 }
 
-func memoryStrategy(cs SupremacyCase, fround float64) func() core.Strategy {
-	return func() core.Strategy {
-		return &core.MemoryDriven{
-			Threshold:     cs.Threshold,
-			RoundFidelity: fround,
-			Growth:        cs.Growth,
-		}
-	}
-}
-
-func fidelityStrategy(cs ShorCase, locations []int) func() core.Strategy {
-	return func() core.Strategy {
-		strat := core.NewFidelityDriven(cs.FinalFidelity, cs.RoundFidelity)
-		strat.Locations = locations
-		return strat
-	}
-}
-
-// sampleRerun is one approximate re-run inside an exact run's manager, so
-// the two final states can be compared for the TrueFidelity column.
-type sampleRerun struct {
-	row         int // index into rows
-	circuit     *circuit.Circuit
-	newStrategy func() core.Strategy
-}
-
-// sampleTrue fills the TrueFidelity column: for each case whose exact
-// reference succeeded, the approximate configurations are re-run inside the
-// exact run's manager (each exact job owns a dedicated manager, so cases
-// proceed in parallel; re-runs within a case share a manager and run
+// sampleTrue fills the TrueFidelity column: for each exact reference that
+// succeeded, the approximate cells of its rows are re-run inside the exact
+// run's manager, their strategies rebuilt from the cells' registry pairs
+// (each exact job owns a dedicated manager, so references proceed in
+// parallel; re-runs against one reference share its manager and run
 // sequentially on one goroutine). A re-run that fails on its own merely
 // leaves the -1 sentinel in place, but context cancellation is returned so
 // callers never mistake an interrupted sampling phase for a finished one.
-func (s Suite) sampleTrue(ctx context.Context, opts RunOptions, rows []Row, cases int, plan func(i int) (batch.JobResult, []sampleRerun)) error {
+func (s Suite) sampleTrue(ctx context.Context, opts RunOptions, jobs []batch.JobResult, cells []Cell, plan []tableRow, rows []Row) error {
+	byExact := make(map[int][]int) // exact cell → its rows, in row order
+	var exacts []int
+	for i, p := range plan {
+		if _, ok := byExact[p.exact]; !ok {
+			exacts = append(exacts, p.exact)
+		}
+		byExact[p.exact] = append(byExact[p.exact], i)
+	}
 	sem := make(chan struct{}, opts.workers())
 	var wg sync.WaitGroup
-	for i := 0; i < cases; i++ {
-		exact, reruns := plan(i)
+	for _, e := range exacts {
+		exact := jobs[e]
 		if exact.Err != nil {
 			continue
 		}
@@ -309,12 +264,17 @@ func (s Suite) sampleTrue(ctx context.Context, opts RunOptions, rows []Row, case
 			defer wg.Done()
 			defer func() { <-sem }()
 			simr := &sim.Simulator{M: exact.Result.Manager}
-			for _, r := range reruns {
-				if rows[r.row].ApproxFailed != "" {
+			for _, i := range byExact[e] {
+				if rows[i].ApproxFailed != "" {
 					continue
 				}
-				approx2, err := simr.Run(r.circuit, sim.Options{
-					Strategy: r.newStrategy(),
+				c := cells[plan[i].approx]
+				strat, err := c.newStrategy()
+				if err != nil {
+					continue
+				}
+				approx2, err := simr.Run(c.Circuit, sim.Options{
+					Strategy: strat,
 					Deadline: s.deadline(),
 					Context:  ctx,
 					// The exact final state must survive this run's node-pool
@@ -322,7 +282,7 @@ func (s Suite) sampleTrue(ctx context.Context, opts RunOptions, rows []Row, case
 					KeepAlive: []dd.VEdge{exact.Result.Final},
 				})
 				if err == nil {
-					rows[r.row].TrueFidelity = simr.M.Fidelity(exact.Result.Final, approx2.Final)
+					rows[i].TrueFidelity = simr.M.Fidelity(exact.Result.Final, approx2.Final)
 				}
 			}
 		}()
@@ -338,13 +298,13 @@ func (s Suite) deadline() time.Time {
 	return time.Now().Add(s.Timeout)
 }
 
-func fillExact(row *Row, exact *sim.Result, err error) {
-	if err != nil {
+func fillExact(row *Row, jr batch.JobResult) {
+	if jr.Err != nil {
 		row.ExactTimeout = true
 		return
 	}
-	row.ExactMaxDD = exact.MaxDDSize
-	row.ExactTime = exact.Runtime
+	row.ExactMaxDD = jr.Result.MaxDDSize
+	row.ExactTime = jr.Result.Runtime
 }
 
 func fillApprox(row *Row, jr batch.JobResult) {

@@ -1,6 +1,7 @@
 package benchtab
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -29,7 +30,7 @@ func tinySuite() Suite {
 }
 
 func TestMemoryDrivenHalf(t *testing.T) {
-	rows, err := tinySuite().RunMemoryDriven()
+	rows, err := tinySuite().RunMemoryDriven(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestMemoryDrivenHalf(t *testing.T) {
 }
 
 func TestFidelityDrivenHalf(t *testing.T) {
-	rows, err := tinySuite().RunFidelityDriven()
+	rows, err := tinySuite().RunFidelityDriven(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestDeadlineProducesTimeoutRow(t *testing.T) {
 	s := tinySuite()
 	s.Timeout = time.Nanosecond // force immediate deadline
 	s.SampleTrue = false
-	rows, err := s.RunFidelityDriven()
+	rows, err := s.RunFidelityDriven(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

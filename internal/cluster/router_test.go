@@ -477,4 +477,11 @@ func TestBadSubmissionsRejectedAtTheRouter(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty submission: HTTP %d: %s", resp.StatusCode, body)
 	}
+	// Strategy parameters travel only in strategy_params.
+	for _, key := range []string{"threshold", "growth", "round_fidelity", "final_fidelity"} {
+		resp, body = tc.submit(map[string]any{"qasm": ghzQASM, "strategy": "memory", key: 0.9})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("top-level %q: HTTP %d: %s", key, resp.StatusCode, body)
+		}
+	}
 }

@@ -1,16 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 )
 
 // StrategyFactory builds a fresh Strategy from JSON-encoded parameters.
 // Factories must return a new instance on every call (strategies are stateful
-// per run) and should reject unknown fields or invalid parameters with an
-// error; params may be nil or empty when the caller supplied none.
+// per run) and should reject unknown fields (DecodeParams does) or invalid
+// parameters with an error; params may be nil or empty when the caller
+// supplied none.
 type StrategyFactory func(params json.RawMessage) (Strategy, error)
 
 var (
@@ -104,11 +107,23 @@ type ReplaceDrivenParams struct {
 	Kinds         []string `json:"kinds,omitempty"`
 }
 
-func decodeParams(params json.RawMessage, into any) error {
+// DecodeParams decodes a factory's JSON parameters into a struct, rejecting
+// unknown keys and trailing data: a misspelled key fails instead of
+// silently leaving its parameter at the default. Empty params decode to
+// nothing, leaving into at its zero value.
+func DecodeParams(params json.RawMessage, into any) error {
 	if len(params) == 0 {
 		return nil
 	}
-	return json.Unmarshal(params, into)
+	dec := json.NewDecoder(bytes.NewReader(params))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(into); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("trailing data after the parameters object")
+	}
+	return nil
 }
 
 func init() {
@@ -122,14 +137,14 @@ func init() {
 	}))
 	must(RegisterStrategy("memory", func(params json.RawMessage) (Strategy, error) {
 		var p MemoryDrivenParams
-		if err := decodeParams(params, &p); err != nil {
+		if err := DecodeParams(params, &p); err != nil {
 			return nil, err
 		}
 		return &MemoryDriven{Threshold: p.Threshold, RoundFidelity: p.RoundFidelity, Growth: p.Growth}, nil
 	}))
 	must(RegisterStrategy("replace", func(params json.RawMessage) (Strategy, error) {
 		var p ReplaceDrivenParams
-		if err := decodeParams(params, &p); err != nil {
+		if err := DecodeParams(params, &p); err != nil {
 			return nil, err
 		}
 		kinds, err := ParseSubstituteKinds(p.Kinds)
@@ -140,7 +155,7 @@ func init() {
 	}))
 	must(RegisterStrategy("fidelity", func(params json.RawMessage) (Strategy, error) {
 		var p FidelityDrivenParams
-		if err := decodeParams(params, &p); err != nil {
+		if err := DecodeParams(params, &p); err != nil {
 			return nil, err
 		}
 		return &FidelityDriven{

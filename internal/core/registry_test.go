@@ -72,6 +72,26 @@ func TestNewStrategyByNameBadParams(t *testing.T) {
 	}
 }
 
+// TestBuiltinParamsRejectUnknownKeys: a misspelled key must fail rather than
+// run with that parameter at its default.
+func TestBuiltinParamsRejectUnknownKeys(t *testing.T) {
+	for name, params := range map[string]string{
+		"memory":   `{"threshold":64,"round_fidelity":0.9,"growht":3}`,
+		"fidelity": `{"final_fidelity":0.5,"round_fidelity":0.9,"locatons":[3]}`,
+		"replace":  `{"node_budget":8,"fidelty_floor":0.9}`,
+	} {
+		if _, err := NewStrategyByName(name, json.RawMessage(params)); err == nil {
+			t.Errorf("%s accepted %s", name, params)
+		}
+	}
+	if _, err := NewStrategyByName("memory", json.RawMessage(`{"threshold":64,"round_fidelity":0.9} {}`)); err == nil {
+		t.Error("trailing data accepted")
+	}
+	if _, err := NewStrategyByName("memory", json.RawMessage(`{"threshold":64,"round_fidelity":0.9,"growth":3}`)); err != nil {
+		t.Errorf("well-formed params rejected: %v", err)
+	}
+}
+
 func TestFidelityParamsPlacementControls(t *testing.T) {
 	s, err := NewStrategyByName("fidelity", json.RawMessage(
 		`{"final_fidelity": 0.5, "round_fidelity": 0.9, "locations": [3, 7]}`))

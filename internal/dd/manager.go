@@ -176,14 +176,11 @@ type Stats struct {
 	VNodesRecycled uint64
 	MNodesRecycled uint64
 	// Per-cache compute-cache counters.
-	Add  CacheStats
-	MAdd CacheStats
-	Mul  CacheStats
-	MM   CacheStats
-	IP   CacheStats
-	// CacheHits / CacheMisses aggregate the per-cache counters (legacy view).
-	CacheHits     uint64
-	CacheMisses   uint64
+	Add           CacheStats
+	MAdd          CacheStats
+	Mul           CacheStats
+	MM            CacheStats
+	IP            CacheStats
 	Cleanups      uint64
 	ComplexValues int
 	// LevelSwaps counts adjacent-level variable swaps (reordering traffic).
@@ -208,10 +205,6 @@ func (m *Manager) Stats() Stats {
 	}
 	s.VUniqueSize = m.vLiveCount()
 	s.MUniqueSize = m.mLiveCount()
-	for _, c := range []CacheStats{s.Add, s.MAdd, s.Mul, s.MM, s.IP} {
-		s.CacheHits += c.Hits
-		s.CacheMisses += c.Misses
-	}
 	return s
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"repro/client"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/serve"
 )
 
@@ -28,6 +29,8 @@ type Options struct {
 	// Qubits are the GHZ circuit widths to sweep (default {4}).
 	Qubits []int
 	// Strategies are the simulation strategies to sweep (default {"exact"}).
+	// Requests carry no strategy_params, so each must run without
+	// parameters (exact, auto, reorder); Sweep checks this up front.
 	Strategies []string
 	// RPS is the offered submission rate per phase (default 40).
 	RPS float64
@@ -211,6 +214,11 @@ func Sweep(ctx context.Context, opts Options, progress func(string)) (*Report, e
 	if progress == nil {
 		progress = func(string) {}
 	}
+	for _, strat := range o.Strategies {
+		if err := checkStrategy(strat, o.Qubits); err != nil {
+			return nil, err
+		}
+	}
 	rep := &Report{Schema: Schema, NumCPU: runtime.NumCPU(), Backends: o.Backends}
 	routeLats := map[string][]time.Duration{}
 	routeHits := map[string][2]int64{} // hits, misses
@@ -326,6 +334,23 @@ func phase(ctx context.Context, cl *client.Client, lc *LocalCluster, route strin
 		DurationMS:    ms(elapsed),
 	}
 	return run, lats, hits, misses, nil
+}
+
+// checkStrategy fails fast on a strategy every backend would reject with a
+// 400: the sweep's requests carry no strategy_params, so the strategy must
+// build and initialize from empty parameters. Auto picks its own.
+func checkStrategy(name string, qubits []int) error {
+	if name == serve.StrategyAuto {
+		return nil
+	}
+	st, err := core.NewStrategyByName(name, nil)
+	for i := 0; err == nil && i < len(qubits); i++ {
+		err = st.Init(len(ghzRequest(qubits[i], name, 0).Gates), nil)
+	}
+	if err != nil {
+		return fmt.Errorf("loadgen: strategy %q cannot run without strategy_params (try exact, auto or reorder): %w", name, err)
+	}
+	return nil
 }
 
 // ghzRequest builds the working-set circuit: a GHZ ladder on q qubits, made

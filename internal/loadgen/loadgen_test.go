@@ -67,3 +67,19 @@ func TestStartLocalBootsAndReportsStats(t *testing.T) {
 		t.Errorf("cluster stats up=%d route=%q, want 2/hash", cs.Up, cs.Route)
 	}
 }
+
+// TestSweepRejectsStrategiesNeedingParams: the sweep sends no
+// strategy_params, so a strategy that needs them would fail every request;
+// Sweep must refuse it before booting anything.
+func TestSweepRejectsStrategiesNeedingParams(t *testing.T) {
+	for _, strat := range []string{"memory", "fidelity", "replace", "no-such-strategy"} {
+		if _, err := Sweep(context.Background(), Options{Strategies: []string{"exact", strat}}, nil); err == nil {
+			t.Errorf("Sweep accepted strategy %q", strat)
+		}
+	}
+	for _, strat := range []string{"exact", "auto", "reorder"} {
+		if err := checkStrategy(strat, []int{4}); err != nil {
+			t.Errorf("parameterless strategy %q rejected: %v", strat, err)
+		}
+	}
+}

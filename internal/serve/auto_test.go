@@ -129,10 +129,6 @@ func TestAutoStrategyRejections(t *testing.T) {
 	withParams.StrategyParams = json.RawMessage(`{"threshold":64}`)
 	c.submit(withParams, http.StatusBadRequest)
 
-	withFlat := base
-	withFlat.Threshold = 64
-	c.submit(withFlat, http.StatusBadRequest)
-
 	withNoise := base
 	withNoise.Noise = "depolarizing"
 	withNoise.NoiseParams = map[string]float64{"p": 0.01}

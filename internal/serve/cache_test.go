@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -79,10 +80,14 @@ func TestContentHashProperties(t *testing.T) {
 	}
 	strat := base
 	strat.Strategy = StrategyMemory
-	strat.Threshold = 64
-	strat.RoundFidelity = 0.9
+	strat.StrategyParams = json.RawMessage(`{"threshold":64,"round_fidelity":0.9}`)
 	if h(base) == h(strat) {
 		t.Error("strategy must affect the content hash")
+	}
+	params := strat
+	params.StrategyParams = json.RawMessage(`{"threshold":32,"round_fidelity":0.9}`)
+	if h(strat) == h(params) {
+		t.Error("strategy parameters must affect the content hash")
 	}
 	shots := base
 	shots.Shots = 17
@@ -97,28 +102,48 @@ func TestContentHashProperties(t *testing.T) {
 		t.Error("default strategy and explicit \"exact\" must hash identically")
 	}
 	strayParams := explicitExact
-	strayParams.Threshold = 512
-	strayParams.RoundFidelity = 0.9
+	strayParams.StrategyParams = json.RawMessage(`{"threshold":512}`)
 	if h(explicitExact) != h(strayParams) {
 		t.Error("strategy-irrelevant parameters must not affect an exact job's hash")
 	}
-	memDefault := base
-	memDefault.Strategy = StrategyMemory
-	memDefault.Threshold = 64
-	memDefault.RoundFidelity = 0.9
-	memExplicitGrowth := memDefault
-	memExplicitGrowth.Growth = 2
-	if h(memDefault) != h(memExplicitGrowth) {
-		t.Error("omitted growth and the explicit default 2 must hash identically")
+}
+
+// TestCanonicalHashPinned pins the content hash of one submission per
+// strategy family, spelled with strategy_params. The values were computed
+// before the flat strategy fields were removed from JobRequest: a change
+// here moves every cache entry, derived seed and cluster placement.
+func TestCanonicalHashPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		req  JobRequest
+		want string
+	}{
+		{"exact", JobRequest{QASM: ghzQASM, Shots: 64},
+			"2542d1686fa14ada883471e23cc4ecf411ec3855ad2555787e8c776d74559a81"},
+		{"exact-explicit", JobRequest{QASM: ghzQASM, Strategy: StrategyExact, Shots: 64},
+			"2542d1686fa14ada883471e23cc4ecf411ec3855ad2555787e8c776d74559a81"},
+		{"memory", JobRequest{QASM: ghzQASM, Strategy: StrategyMemory, Shots: 64,
+			StrategyParams: json.RawMessage(`{"threshold":16,"round_fidelity":0.97}`)},
+			"8e76c6fde4903bec2b3cc50900171a9f386bfa1a6e6bd1bccd2f9fa8e8854f64"},
+		{"fidelity", JobRequest{QASM: ghzQASM, Strategy: StrategyFidelity, Shots: 64,
+			StrategyParams: json.RawMessage(`{"final_fidelity":0.8,"round_fidelity":0.9}`)},
+			"e75068ae75435584560ef92a76b90594606451b2845102ffafd4c0f0ee840bd9"},
+		{"replace", JobRequest{QASM: ghzQASM, Strategy: StrategyReplace, Shots: 64,
+			StrategyParams: json.RawMessage(`{"node_budget":4,"fidelity_floor":0.9}`)},
+			"e456457122b3dbe4515c27ca6792a312c1fa07ab3965319d6989d25602eba669"},
+		{"reorder", JobRequest{QASM: ghzQASM, Strategy: StrategyReorder, Shots: 64,
+			StrategyParams: json.RawMessage(`{"order":"scored","inner":"memory","inner_params":{"threshold":16,"round_fidelity":0.97}}`)},
+			"7eaadbd21f32bbf27a3535e40e0ce2441b672c56fc5318c20952ed54f996e5e6"},
+		{"auto", JobRequest{QASM: ghzQASM, Strategy: StrategyAuto, Shots: 64},
+			"f6b96f4005ff360c1c04d91c5237aea66fb7f8aae7b0fad80919e1a264021abd"},
 	}
-	fid := base
-	fid.Strategy = StrategyFidelity
-	fid.FinalFidelity = 0.8
-	fid.RoundFidelity = 0.9
-	fidStray := fid
-	fidStray.Threshold = 64
-	fidStray.Growth = 3
-	if h(fid) != h(fidStray) {
-		t.Error("threshold/growth must not affect a fidelity-driven job's hash")
+	for _, c := range cases {
+		got, err := CanonicalHash(c.req)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got != c.want {
+			t.Errorf("%s: hash %s, want %s", c.name, got, c.want)
+		}
 	}
 }

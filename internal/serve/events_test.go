@@ -73,8 +73,7 @@ func TestEventsStreamReplaysFinishedJob(t *testing.T) {
 	circ := gen.RandomCliffordT(10, 200, 3)
 	req := inlineRequest("events", circ)
 	req.Strategy = StrategyMemory
-	req.Threshold = 16
-	req.RoundFidelity = 0.97
+	req.StrategyParams = json.RawMessage(`{"threshold":16,"round_fidelity":0.97}`)
 	st := c.submit(req, http.StatusAccepted)
 	if got := c.await(st.ID); got.Status != StatusDone {
 		t.Fatalf("job ended %q: %s", got.Status, got.Error)
@@ -128,8 +127,7 @@ func TestEventsStreamWhileRunning(t *testing.T) {
 	// bounded buffer replays whatever was missed.
 	req := inlineRequest("live-stream", gen.RandomCliffordT(11, 600, 1))
 	req.Strategy = StrategyMemory
-	req.Threshold = 64
-	req.RoundFidelity = 0.95
+	req.StrategyParams = json.RawMessage(`{"threshold":64,"round_fidelity":0.95}`)
 	st := c.submit(req, http.StatusAccepted)
 	// Connect immediately — the stream must deliver live events and then
 	// the terminal status without the client ever polling.
@@ -330,15 +328,6 @@ func TestRegisteredStrategyBadParamsRejected(t *testing.T) {
 	if code, body := c.do("POST", "/v1/jobs", req); code != http.StatusBadRequest {
 		t.Errorf("invalid params: HTTP %d: %s", code, body)
 	}
-
-	// The flat builtin shorthand does not reach registered strategies;
-	// accepting it silently would run with the factory's defaults.
-	flat := inlineRequest("flat-params", gen.QFT(4))
-	flat.Strategy = "trim-every"
-	flat.Threshold = 4096
-	if code, body := c.do("POST", "/v1/jobs", flat); code != http.StatusBadRequest {
-		t.Errorf("flat fields on registered strategy: HTTP %d: %s", code, body)
-	}
 }
 
 func TestStrategyParamsForBuiltins(t *testing.T) {
@@ -351,10 +340,19 @@ func TestStrategyParamsForBuiltins(t *testing.T) {
 		t.Fatalf("job ended %q: %s", got.Status, got.Error)
 	}
 
-	// Mixing the params form with the flat shorthand is ambiguous → 400.
-	req.Threshold = 8
-	if code, body := c.do("POST", "/v1/jobs", req); code != http.StatusBadRequest {
-		t.Errorf("mixed strategy forms: HTTP %d: %s", code, body)
+	// strategy_params is the only spelling: the old top-level keys are
+	// unknown fields, and unknown keys inside the params are rejected too.
+	for _, key := range []string{"threshold", "growth", "round_fidelity", "final_fidelity"} {
+		raw := map[string]any{"qasm": ghzQASM, "strategy": StrategyMemory,
+			"strategy_params": req.StrategyParams, key: 8}
+		if code, body := c.do("POST", "/v1/jobs", raw); code != http.StatusBadRequest {
+			t.Errorf("top-level %q: HTTP %d: %s", key, code, body)
+		}
+	}
+	misspelled := req
+	misspelled.StrategyParams = json.RawMessage(`{"threshold":8,"round_fidelity":0.95,"growht":3}`)
+	if code, body := c.do("POST", "/v1/jobs", misspelled); code != http.StatusBadRequest {
+		t.Errorf("misspelled params key: HTTP %d: %s", code, body)
 	}
 
 	// Unknown names list what is registered.

@@ -125,7 +125,8 @@ func TestNoiseValidationOverHTTP(t *testing.T) {
 		{QASM: ghzQASM, Noise: "depolarizing", NoiseParams: map[string]float64{"q": 0.1}},
 		{QASM: ghzQASM, NoiseParams: map[string]float64{"p": 0.1}},
 		{QASM: ghzQASM, Backend: "tensor"},
-		{QASM: ghzQASM, Backend: "density", Strategy: "memory", Threshold: 16, RoundFidelity: 0.97},
+		{QASM: ghzQASM, Backend: "density", Strategy: "memory",
+			StrategyParams: json.RawMessage(`{"threshold":16,"round_fidelity":0.97}`)},
 	}
 	for i, req := range bad {
 		if code, body := c.do("POST", "/v1/jobs", req); code != http.StatusBadRequest {

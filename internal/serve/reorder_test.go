@@ -113,19 +113,16 @@ func TestReorderSiftEventsOverSSE(t *testing.T) {
 	}
 }
 
-// TestReorderValidationOverHTTP: bad ordering names and flat-field misuse
-// must be 400s at submission, not failed jobs.
+// TestReorderValidationOverHTTP: bad ordering names and unknown parameter
+// keys must be 400s at submission, not failed jobs.
 func TestReorderValidationOverHTTP(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
 	code, body := c.do("POST", "/v1/jobs", pairsRequest(6, `{"order":"sideways"}`))
 	if code != http.StatusBadRequest {
 		t.Fatalf("bad order name: HTTP %d: %s", code, body)
 	}
-	req := pairsRequest(6, "")
-	req.StrategyParams = nil
-	req.Threshold = 64 // flat fields are the builtins' shorthand only
-	code, body = c.do("POST", "/v1/jobs", req)
+	code, body = c.do("POST", "/v1/jobs", pairsRequest(6, `{"order":"scored","sfit":true}`))
 	if code != http.StatusBadRequest {
-		t.Fatalf("flat fields with registered strategy: HTTP %d: %s", code, body)
+		t.Fatalf("misspelled reorder key: HTTP %d: %s", code, body)
 	}
 }

@@ -19,9 +19,9 @@ import (
 )
 
 // Builtin strategy names accepted in JobRequest.Strategy. Any further name
-// registered through core.RegisterStrategy is accepted as well, with its
-// parameters passed via JobRequest.StrategyParams — this is how user-defined
-// strategies become reachable over HTTP.
+// registered through core.RegisterStrategy is accepted as well — this is how
+// user-defined strategies become reachable over HTTP. Every strategy takes
+// its parameters through JobRequest.StrategyParams.
 const (
 	StrategyExact    = "exact"
 	StrategyMemory   = "memory"
@@ -81,19 +81,12 @@ type JobRequest struct {
 	// registered through core.RegisterStrategy.
 	Strategy string `json:"strategy,omitempty"`
 	// StrategyParams carries the strategy's JSON parameters verbatim to
-	// its registered factory. For the builtins it replaces the flat fields
-	// below (setting both is an error); for registered strategies it is
-	// the only way to pass parameters.
+	// its registered factory, e.g. {"threshold":4096,"round_fidelity":0.99}
+	// for "memory" (core.MemoryDrivenParams) or
+	// {"final_fidelity":0.8,"round_fidelity":0.9} for "fidelity"
+	// (core.FidelityDrivenParams). Together with Strategy it is the same
+	// registry pair core.NewStrategyByName takes.
 	StrategyParams json.RawMessage `json:"strategy_params,omitempty"`
-	// Threshold is the memory-driven initial node-count threshold.
-	Threshold int `json:"threshold,omitempty"`
-	// Growth is the memory-driven threshold multiplier (default 2).
-	Growth float64 `json:"growth,omitempty"`
-	// RoundFidelity is the per-round target fidelity f_round (both
-	// strategies).
-	RoundFidelity float64 `json:"round_fidelity,omitempty"`
-	// FinalFidelity is the fidelity-driven end-to-end lower bound f_final.
-	FinalFidelity float64 `json:"final_fidelity,omitempty"`
 
 	// Backend selects the state representation: "statevector" (the
 	// default) or "density" (exact noisy simulation on a density matrix).
@@ -192,9 +185,6 @@ func resolveAuto(req JobRequest, circ *circuit.Circuit) (JobRequest, error) {
 	if len(req.StrategyParams) > 0 {
 		return req, fmt.Errorf("strategy %q picks its own parameters; strategy_params may not be set", StrategyAuto)
 	}
-	if req.Threshold != 0 || req.Growth != 0 || req.RoundFidelity != 0 || req.FinalFidelity != 0 {
-		return req, fmt.Errorf("strategy %q picks its own parameters; the flat threshold/growth/round_fidelity/final_fidelity fields may not be set", StrategyAuto)
-	}
 	if req.Noise != "" || sim.Backend(req.Backend) == sim.BackendDensity {
 		return req, fmt.Errorf("strategy %q resolves from the noiseless statevector atlas; noisy or density jobs must pick a strategy explicitly", StrategyAuto)
 	}
@@ -234,9 +224,9 @@ func (s *Server) compile(req JobRequest) (*compiled, error) {
 	// user-registered alike) and validate by building + Init'ing one
 	// instance up front, so submissions fail with a 400 instead of a
 	// failed job.
-	name, params, err := resolveStrategy(req)
-	if err != nil {
-		return nil, err
+	name, params := req.Strategy, req.StrategyParams
+	if name == "" {
+		name = StrategyExact
 	}
 	st, err := core.NewStrategyByName(name, params)
 	if err != nil {
@@ -271,49 +261,6 @@ func (s *Server) compile(req JobRequest) (*compiled, error) {
 		c.timeout = s.cfg.DefaultJobTimeout
 	}
 	return c, nil
-}
-
-// resolveStrategy maps a submission onto a registry (name, params) pair. The
-// flat fields (threshold, growth, round/final fidelity) remain the builtin
-// shorthand; strategy_params passes JSON through to any registered factory
-// and may not be combined with the flat fields.
-func resolveStrategy(req JobRequest) (string, json.RawMessage, error) {
-	name := req.Strategy
-	if name == "" {
-		name = StrategyExact
-	}
-	flat := req.Threshold != 0 || req.Growth != 0 || req.RoundFidelity != 0 || req.FinalFidelity != 0
-	if len(req.StrategyParams) > 0 {
-		if flat {
-			return "", nil, fmt.Errorf("submission carries both strategy_params and flat strategy fields (threshold/growth/round_fidelity/final_fidelity); pick one")
-		}
-		return name, req.StrategyParams, nil
-	}
-	switch name {
-	case StrategyExact:
-		return name, nil, nil
-	case StrategyMemory:
-		params, err := json.Marshal(core.MemoryDrivenParams{
-			Threshold:     req.Threshold,
-			RoundFidelity: req.RoundFidelity,
-			Growth:        req.Growth,
-		})
-		return name, params, err
-	case StrategyFidelity:
-		params, err := json.Marshal(core.FidelityDrivenParams{
-			FinalFidelity: req.FinalFidelity,
-			RoundFidelity: req.RoundFidelity,
-		})
-		return name, params, err
-	default:
-		// Registered strategies take parameters only through
-		// strategy_params; silently ignoring the flat shorthand would run
-		// the job with the factory's defaults.
-		if flat {
-			return "", nil, fmt.Errorf("strategy %q takes parameters via strategy_params, not the flat threshold/growth/round_fidelity/final_fidelity fields", name)
-		}
-		return name, nil, nil
-	}
 }
 
 // resolveNoise validates the submission's backend and noise fields and
@@ -431,27 +378,11 @@ func appendGate(c *circuit.Circuit, g GateSpec) (err error) {
 
 // normalizeForHash rewrites the request to its canonical form so that
 // semantically identical submissions hash identically: the default strategy
-// spells out as "exact", parameters irrelevant to the selected strategy are
-// zeroed (an exact job with a stray threshold simulates the same), and
-// omitted defaults are filled in (memory-driven growth 0 means 2, exactly
-// as core.MemoryDriven.Init applies it).
+// spells out as "exact", whose factory ignores parameters.
 func normalizeForHash(req JobRequest) JobRequest {
-	switch req.Strategy {
-	case "", StrategyExact:
+	if req.Strategy == "" || req.Strategy == StrategyExact {
 		req.Strategy = StrategyExact
-		req.Threshold, req.Growth, req.RoundFidelity, req.FinalFidelity = 0, 0, 0, 0
-		req.StrategyParams = nil // the exact factory ignores parameters
-	case StrategyMemory:
-		if len(req.StrategyParams) == 0 && req.Growth == 0 {
-			req.Growth = 2
-		}
-		req.FinalFidelity = 0
-	case StrategyFidelity:
-		req.Threshold, req.Growth = 0, 0
-	default:
-		// Registered strategies take parameters only through
-		// strategy_params; the flat fields cannot affect the run.
-		req.Threshold, req.Growth, req.RoundFidelity, req.FinalFidelity = 0, 0, 0, 0
+		req.StrategyParams = nil
 	}
 	// Backend and noise canonicalize the same way compile resolves them: the
 	// empty backend spells out as the effective one, and noise parameters
@@ -499,17 +430,18 @@ func contentHash(c *circuit.Circuit, req JobRequest) string {
 	// hashing the two fixed keys keeps the encoding order-independent.
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(req.NoiseParams["p"]))
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(req.NoiseParams["seed"]))
-	b = binary.BigEndian.AppendUint64(b, uint64(req.Threshold))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(req.Growth))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(req.RoundFidelity))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(req.FinalFidelity))
+	// Four zero words where the removed flat strategy fields (threshold,
+	// growth, round_fidelity, final_fidelity) were hashed. Every submission
+	// still accepted hashed zeros there, so keeping the words keeps its
+	// content hash, derived seed and cache entry unchanged.
+	b = append(b, make([]byte, 4*8)...)
 	b = binary.BigEndian.AppendUint64(b, req.InitialState)
 	b = binary.BigEndian.AppendUint64(b, uint64(req.Shots))
 	b = binary.BigEndian.AppendUint64(b, uint64(req.Seed))
 	// strategy_params hash verbatim (length-prefixed): two submissions
-	// with byte-identical params share the entry; the flat-field shorthand
-	// and its params spelling address different entries, which costs at
-	// most a duplicate cache slot, never a wrong hit.
+	// with byte-identical params share the entry; params that differ only
+	// in spelling (key order, whitespace) address different entries, which
+	// costs at most a duplicate cache slot, never a wrong hit.
 	b = binary.BigEndian.AppendUint64(b, uint64(len(req.StrategyParams)))
 	b = append(b, req.StrategyParams...)
 	sum := sha256.Sum256(b)

@@ -149,7 +149,7 @@ func TestCacheHitEndToEnd(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 2})
 	req := JobRequest{
 		Name: "ghz4", QASM: ghzQASM,
-		Strategy: StrategyFidelity, FinalFidelity: 0.8, RoundFidelity: 0.9,
+		Strategy: StrategyFidelity, StrategyParams: json.RawMessage(`{"final_fidelity":0.8,"round_fidelity":0.9}`),
 		Shots: 256,
 	}
 	first := c.submit(req, http.StatusAccepted)
@@ -340,8 +340,11 @@ func TestValidationErrors(t *testing.T) {
 		{Qubits: 2, Gates: []GateSpec{{Name: "warp", Target: 0}}}, // unknown gate
 		{Qubits: 2, Gates: []GateSpec{{Name: "h", Target: 5}}},    // qubit range
 		{QASM: ghzQASM, Strategy: "psychic"},                      // unknown strategy
-		{QASM: ghzQASM, Strategy: StrategyMemory, Threshold: -1, RoundFidelity: 0.9},
-		{QASM: ghzQASM, Strategy: StrategyFidelity, FinalFidelity: 0.9, RoundFidelity: 0.5},
+		{QASM: ghzQASM, Strategy: StrategyMemory, StrategyParams: json.RawMessage(`{"threshold":-1,"round_fidelity":0.9}`)},
+		{QASM: ghzQASM, Strategy: StrategyFidelity, StrategyParams: json.RawMessage(`{"final_fidelity":0.9,"round_fidelity":0.5}`)},
+		{QASM: ghzQASM, Strategy: StrategyMemory}, // memory needs parameters
+		// A misspelled key would otherwise run with the default growth 2.
+		{QASM: ghzQASM, Strategy: StrategyMemory, StrategyParams: json.RawMessage(`{"threshold":64,"round_fidelity":0.9,"growht":3}`)},
 		{QASM: ghzQASM, Shots: 11},                             // above MaxShots
 		{Qubits: 9, Gates: []GateSpec{{Name: "h", Target: 0}}}, // above MaxQubits
 		{Qubits: 2, Gates: []GateSpec{{Name: "h", Target: 0}}, Blocks: []int{3}},
@@ -614,5 +617,34 @@ func TestQASMParsesLikeLibrary(t *testing.T) {
 	}
 	if prog.Circuit.NumQubits != 4 || prog.Circuit.Len() != 4 {
 		t.Fatalf("unexpected GHZ IR: %s", prog.Circuit)
+	}
+}
+
+// TestFinishedJobDropsItsResult: once a job's payload is built, its handle
+// must not keep the simulation result — and with it the job's DD manager —
+// alive for as long as the job stays listed.
+func TestFinishedJobDropsItsResult(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1})
+	st := c.submit(JobRequest{QASM: ghzQASM, Shots: 8}, http.StatusAccepted)
+	if got := c.await(st.ID); got.Status != StatusDone {
+		t.Fatalf("job ended %q: %s", got.Status, got.Error)
+	}
+	js := s.job(st.ID)
+	if js == nil || js.handle == nil {
+		t.Fatal("finished job has no handle")
+	}
+	// The job publishes its status from inside Finalize, just before the
+	// pool marks the handle done.
+	select {
+	case <-js.handle.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("handle never finished")
+	}
+	jr, _ := js.handle.Result()
+	if jr.Result != nil {
+		t.Error("finished job's handle still holds its simulation result")
+	}
+	if code, body := c.do("GET", "/v1/jobs/"+st.ID+"/result", nil); code != http.StatusOK {
+		t.Errorf("result after the drop: HTTP %d: %s", code, body)
 	}
 }

@@ -286,8 +286,6 @@ type DDStats struct {
 	VNodesCreated uint64 `json:"v_nodes_created"`
 	MNodesCreated uint64 `json:"m_nodes_created"`
 	NodesRecycled uint64 `json:"nodes_recycled"`
-	CacheHits     uint64 `json:"cache_hits"`
-	CacheMisses   uint64 `json:"cache_misses"`
 	Cleanups      uint64 `json:"cleanups"`
 	ComplexValues int    `json:"complex_values"`
 }
@@ -404,7 +402,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // finalizer builds the batch.Job Finalize hook: it runs on the worker with
 // the job's own DD manager, samples the final state,
 // marshals the result payload, stores it on the job, feeds the cache, and
-// snapshots the worker's manager for /v1/stats.
+// snapshots the worker's manager for /v1/stats. It then drops the
+// simulation result, so the job's handle no longer keeps the manager alive
+// for as long as the job stays listed.
 func (s *Server) finalizer(js *jobState, comp *compiled) func(*batch.JobResult) {
 	return func(jr *batch.JobResult) {
 		status, errMsg := classify(jr)
@@ -428,6 +428,7 @@ func (s *Server) finalizer(js *jobState, comp *compiled) func(*batch.JobResult) 
 				s.reorder.SiftSwaps += int64(jr.Result.SiftSwaps)
 			}
 			s.mu.Unlock()
+			jr.Result = nil
 		}
 		// Feed the cache before publishing the done status: a client that
 		// polls until done and instantly resubmits must find the entry.
@@ -464,8 +465,6 @@ func buildPayload(jr *batch.JobResult, comp *compiled) ResultPayload {
 			VNodesCreated: res.DDStats.VNodesCreated,
 			MNodesCreated: res.DDStats.MNodesCreated,
 			NodesRecycled: res.DDStats.VNodesRecycled + res.DDStats.MNodesRecycled,
-			CacheHits:     res.DDStats.CacheHits,
-			CacheMisses:   res.DDStats.CacheMisses,
 			Cleanups:      res.DDStats.Cleanups,
 			ComplexValues: res.DDStats.ComplexValues,
 		},
